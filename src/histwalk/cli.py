@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -213,6 +214,27 @@ def _pick_dist(spec: ModelSpec, index: int):
     return spec.dists[index]
 
 
+def _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi):
+    """What the single-law grid commands share: the checked model and run
+    section, the law picked by --dist, the grid, the seed, and thresholds
+    that default to the regime's own and must be finite."""
+    spec, run_cfg = load_config(config)
+    _require_valid(spec)
+    d = _pick_dist(spec, dist_index)
+    grid = _grid_from(n_grid, run_cfg)
+    seed = int(_resolve("seed", seed, run_cfg, required=True))
+    bounds = []
+    for name, flag, default in zip(("r_lo", "r_hi"), (r_lo, r_hi), threshold_bounds(spec, dist_index)):
+        given = _resolve(name, flag, run_cfg)
+        value = float(default if given is None else given)
+        if not np.isfinite(value):
+            if given is None:
+                _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
+            _fail(2, f"{name} must be finite, got {value}")
+        bounds.append(value)
+    return run_cfg, d, grid, seed, bounds[0], bounds[1]
+
+
 def _parse_r_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -255,6 +277,28 @@ def _emit(text: str, output: str | None, summaries=()) -> None:
         click.echo(text, nl=False)
 
 
+_dist_option = click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
+_seed_option = click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
+_n_grid_option = click.option("--n-grid", "n_grid", type=str, default=None, help="comma-separated window sizes")
+_version_option = click.option("--version", type=click.Choice(["delayed", "instantaneous"]), default=None)
+_output_option = click.option("--output", type=click.Path(), default=None)
+
+
+def _law_grid_options(fn):
+    """The options of the single-law grid commands, ``blocks`` and ``exits``."""
+    for option in reversed((
+        _dist_option,
+        _n_grid_option,
+        click.option("--samples", type=int, default=None),
+        _seed_option,
+        click.option("--r-lo", "r_lo", type=float, default=None, help="defaults to the regime's lower threshold"),
+        click.option("--r-hi", "r_hi", type=float, default=None, help="defaults to the regime's upper threshold"),
+        _output_option,
+    )):
+        fn = option(fn)
+    return fn
+
+
 @click.group()
 def main():
     """Workbench for random walks whose step law switches when the recent
@@ -289,11 +333,11 @@ def cmd_predict(config, output):
 
 @main.command(name="simulate")
 @click.argument("config", type=click.Path())
-@click.option("--version", type=click.Choice(["delayed", "instantaneous"]), default=None)
+@_version_option
 @click.option("--steps", type=int, default=None)
 @click.option("--replicas", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
-@click.option("--output", type=click.Path(), default=None)
+@_seed_option
+@_output_option
 @click.option("--trace", type=click.Path(), default=None, help="also write a one-replica checkpoint CSV")
 @_guarded
 def cmd_simulate(config, version, steps, replicas, seed, output, trace):
@@ -310,7 +354,7 @@ def cmd_simulate(config, version, steps, replicas, seed, output, trace):
     if trace:
         _write_trace(spec, version, steps, seed, trace)
     _emit(
-        _dump_json(report.to_dict()),
+        _dump_json(asdict(report)),
         output,
         [
             f"version={version} N={spec.window} est_speed={report.est_speed!r} "
@@ -341,10 +385,10 @@ def _sweep_csv(sw) -> str:
 
 @main.command(name="sweep")
 @click.argument("config", type=click.Path())
-@click.option("--version", type=click.Choice(["delayed", "instantaneous"]), default=None)
-@click.option("--n-grid", "n_grid", type=str, default=None, help="comma-separated window sizes")
+@_version_option
+@_n_grid_option
 @click.option("--replicas", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
+@_seed_option
 @click.option("--steps", type=int, default=None, help="fixed per-window budget; default grows with N")
 @click.option("--output", type=click.Path(), default=None, help="CSV destination")
 @click.option("--json", "json_path", type=click.Path(), default=None, help="full JSON report destination")
@@ -363,7 +407,7 @@ def cmd_sweep(config, version, n_grid, replicas, seed, steps, output, json_path)
     if not sw.monotone_within_noise:
         click.echo("warning: gaps to the predicted speed are not monotone within noise", err=True)
     if json_path:
-        _write_atomic(json_path, _dump_json(sw.to_dict()))
+        _write_atomic(json_path, _dump_json(asdict(sw)))
     summaries = [
         f"N={row['N']} est_speed={row['est_speed']!r} stderr={row['stderr']!r} gap={row['gap']!r}"
         for row in sw.rows()
@@ -377,7 +421,7 @@ def cmd_sweep(config, version, n_grid, replicas, seed, steps, output, json_path)
 
 @main.command(name="ratefn")
 @click.argument("config", type=click.Path())
-@click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
+@_dist_option
 @click.option("--r-grid", "r_grid", type=str, required=True, help="lo:hi:step, inclusive")
 @click.option("--output", type=click.Path(), default=None, help="CSV destination")
 @_guarded
@@ -396,27 +440,12 @@ def cmd_ratefn(config, dist_index, r_grid, output):
 
 @main.command(name="blocks")
 @click.argument("config", type=click.Path())
-@click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
-@click.option("--n-grid", "n_grid", type=str, default=None, help="comma-separated window sizes")
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
-@click.option("--r-lo", "r_lo", type=float, default=None, help="defaults to the regime's lower threshold")
-@click.option("--r-hi", "r_hi", type=float, default=None, help="defaults to the regime's upper threshold")
-@click.option("--output", type=click.Path(), default=None)
+@_law_grid_options
 @_guarded
 def cmd_blocks(config, dist_index, n_grid, samples, seed, r_lo, r_hi, output):
     """Fit decay exponents of fresh-block threshold crossings."""
-    spec, run_cfg = load_config(config)
-    _require_valid(spec)
-    d = _pick_dist(spec, dist_index)
-    grid = _grid_from(n_grid, run_cfg)
+    run_cfg, d, grid, seed, r_lo, r_hi = _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi)
     samples = int(_resolve("samples", samples, run_cfg, default=100_000))
-    seed = int(_resolve("seed", seed, run_cfg, required=True))
-    lo_default, hi_default = threshold_bounds(spec, dist_index)
-    r_lo = float(_resolve("r_lo", r_lo, run_cfg, default=lo_default))
-    r_hi = float(_resolve("r_hi", r_hi, run_cfg, default=hi_default))
-    if not (np.isfinite(r_lo) and np.isfinite(r_hi)):
-        _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
     report = fit_block_exponents(d, r_lo, r_hi, grid, samples, seed)
     for warning in report.warnings:
         click.echo(f"warning: {warning}", err=True)
@@ -432,34 +461,19 @@ def cmd_blocks(config, dist_index, n_grid, samples, seed, r_lo, r_hi, output):
         f"up_slope={report.up.slope!r} down_slope={report.down.slope!r} "
         f"both_slope={None if report.both is None else report.both.slope!r}"
     )
-    _emit(_dump_json(report.to_dict()), output, summaries)
+    _emit(_dump_json(asdict(report)), output, summaries)
 
 
 @main.command(name="exits")
 @click.argument("config", type=click.Path())
-@click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
-@click.option("--n-grid", "n_grid", type=str, default=None, help="comma-separated window sizes")
-@click.option("--samples", type=int, default=None)
+@_law_grid_options
 @click.option("--cap", type=int, default=None, help="per-stay step budget before censoring")
-@click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
-@click.option("--r-lo", "r_lo", type=float, default=None, help="defaults to the regime's lower threshold")
-@click.option("--r-hi", "r_hi", type=float, default=None, help="defaults to the regime's upper threshold")
-@click.option("--output", type=click.Path(), default=None)
 @_guarded
 def cmd_exits(config, dist_index, n_grid, samples, cap, seed, r_lo, r_hi, output):
     """Fit exit-direction and mean-stay exponents for a fresh stay."""
-    spec, run_cfg = load_config(config)
-    _require_valid(spec)
-    d = _pick_dist(spec, dist_index)
-    grid = _grid_from(n_grid, run_cfg)
+    run_cfg, d, grid, seed, r_lo, r_hi = _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi)
     samples = int(_resolve("samples", samples, run_cfg, default=10_000))
     cap = int(_resolve("cap", cap, run_cfg, default=10_000_000))
-    seed = int(_resolve("seed", seed, run_cfg, required=True))
-    lo_default, hi_default = threshold_bounds(spec, dist_index)
-    r_lo = float(_resolve("r_lo", r_lo, run_cfg, default=lo_default))
-    r_hi = float(_resolve("r_hi", r_hi, run_cfg, default=hi_default))
-    if not (np.isfinite(r_lo) and np.isfinite(r_hi)):
-        _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
     report = fit_exit_statistics(d, r_lo, r_hi, grid, samples, cap, seed)
     down_by_n = dict(zip(report.exit_down.ns, report.exit_down.values))
     stay_by_n = dict(zip(report.mean_stay.ns, report.mean_stay.values))
@@ -471,17 +485,17 @@ def cmd_exits(config, dist_index, n_grid, samples, cap, seed, r_lo, r_hi, output
     summaries.append(
         f"down_slope={report.exit_down.slope!r} stay_slope={report.mean_stay.slope!r}"
     )
-    _emit(_dump_json(report.to_dict()), output, summaries)
+    _emit(_dump_json(asdict(report)), output, summaries)
 
 
 @main.command(name="persistence")
 @click.argument("config", type=click.Path())
-@click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
+@_dist_option
 @click.option("--r", "r_level", type=float, default=None, help="level the running mean must hold")
 @click.option("--horizon", type=int, default=None)
 @click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
-@click.option("--output", type=click.Path(), default=None)
+@_seed_option
+@_output_option
 @_guarded
 def cmd_persistence(config, dist_index, r_level, horizon, samples, seed, output):
     """Estimate the probability the running mean never dips below a level."""

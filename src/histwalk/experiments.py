@@ -71,17 +71,6 @@ class RegimeStats:
     wald_residual: float | None
     wald_stderr: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "completed": self.completed,
-            "mean_sojourn": self.mean_sojourn,
-            "mean_displacement": self.mean_displacement,
-            "exit_up_fraction": self.exit_up_fraction,
-            "wald_residual": self.wald_residual,
-            "wald_stderr": self.wald_stderr,
-        }
-
 
 @dataclass(frozen=True)
 class SimReport:
@@ -97,22 +86,6 @@ class SimReport:
     switch_frequencies: tuple[float, ...]
     per_regime: tuple[RegimeStats, ...]
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "window": self.window,
-            "steps": self.steps,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "est_speed": self.est_speed,
-            "stderr": self.stderr,
-            "n_batches": self.n_batches,
-            "regime_occupancy": list(self.regime_occupancy),
-            "switch_frequencies": list(self.switch_frequencies),
-            "per_regime": [s.to_dict() for s in self.per_regime],
-            "warnings": list(self.warnings),
-        }
 
 
 def _batch_boundaries(steps: int) -> np.ndarray:
@@ -272,20 +245,6 @@ class SweepResult:
             for n, rep, gap in zip(self.n_grid, self.reports, self.gaps)
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "n_grid": list(self.n_grid),
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "predicted_speed": self.predicted_speed,
-            "steps_used": list(self.steps_used),
-            "reports": [r.to_dict() for r in self.reports],
-            "gaps": list(self.gaps),
-            "final_gap": self.final_gap,
-            "monotone_within_noise": self.monotone_within_noise,
-        }
-
 
 def sweep_window(
     spec: ModelSpec,
@@ -341,6 +300,29 @@ def sweep_window(
     )
 
 
+def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
+    """Input checks shared by the single-law grid fits.
+
+    Returns the checked grid, sample count and seed, then the rate function
+    of ``d`` at ``r_lo`` and ``r_hi``, which must both be finite.
+    """
+    if not r_lo < r_hi:
+        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
+    grid = _check_grid(n_grid)
+    samples_per_n = int(samples_per_n)
+    if samples_per_n < 1:
+        raise InvalidInputError("samples_per_n must be positive")
+    master_seed = _check_seed(master_seed)
+    rate = RateFunction(d)
+    i_lo = rate.evaluate(r_lo)
+    i_hi = rate.evaluate(r_hi)
+    if not (math.isfinite(i_lo) and math.isfinite(i_hi)):
+        raise InvalidInputError(
+            f"rate function must be finite at both thresholds, got I(lo)={i_lo}, I(hi)={i_hi}"
+        )
+    return grid, samples_per_n, master_seed, i_lo, i_hi
+
+
 def _binomial_se(p: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt(p * (1.0 - p) / m)
 
@@ -367,20 +349,6 @@ class BlockExponentReport:
     both_dominates_singles: bool | None
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "n_grid": list(self.n_grid),
-            "samples_per_n": self.samples_per_n,
-            "master_seed": self.master_seed,
-            "up": self.up.to_dict(),
-            "down": self.down.to_dict(),
-            "both": None if self.both is None else self.both.to_dict(),
-            "both_dominates_singles": self.both_dominates_singles,
-            "warnings": list(self.warnings),
-        }
-
 
 def fit_block_exponents(
     d: IncrementDistribution,
@@ -390,21 +358,9 @@ def fit_block_exponents(
     samples_per_n: int,
     master_seed: int,
 ) -> BlockExponentReport:
-    if not r_lo < r_hi:
-        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    grid = _check_grid(n_grid)
-    samples_per_n = int(samples_per_n)
-    if samples_per_n < 1:
-        raise InvalidInputError("samples_per_n must be positive")
-    master_seed = _check_seed(master_seed)
-    rate = RateFunction(d)
-    i_lo = rate.evaluate(r_lo)
-    i_hi = rate.evaluate(r_hi)
-    if not (math.isfinite(i_lo) and math.isfinite(i_hi)):
-        raise InvalidInputError(
-            f"rate function must be finite at both thresholds, got I(lo)={i_lo}, I(hi)={i_hi}"
-        )
-
+    grid, samples_per_n, master_seed, i_lo, i_hi = _check_law_grid(
+        d, r_lo, r_hi, n_grid, samples_per_n, master_seed
+    )
     counts = {out: [] for out in (BlockOutcome.UP, BlockOutcome.DOWN, BlockOutcome.BOTH)}
     for n, child in zip(grid, np.random.SeedSequence(master_seed).spawn(len(grid))):
         tally = sample_block_outcomes(d, r_lo, r_hi, n, np.random.default_rng(child), samples_per_n)
@@ -465,19 +421,6 @@ class ExitReport:
     mean_stay: SlopeFit
     censored_fractions: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "n_grid": list(self.n_grid),
-            "samples_per_n": self.samples_per_n,
-            "cap": self.cap,
-            "master_seed": self.master_seed,
-            "exit_down": self.exit_down.to_dict(),
-            "mean_stay": self.mean_stay.to_dict(),
-            "censored_fractions": list(self.censored_fractions),
-        }
-
 
 def fit_exit_statistics(
     d: IncrementDistribution,
@@ -488,24 +431,12 @@ def fit_exit_statistics(
     cap: int,
     master_seed: int,
 ) -> ExitReport:
-    if not r_lo < r_hi:
-        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    grid = _check_grid(n_grid)
-    samples_per_n = int(samples_per_n)
+    grid, samples_per_n, master_seed, i_lo, i_hi = _check_law_grid(
+        d, r_lo, r_hi, n_grid, samples_per_n, master_seed
+    )
     cap = int(cap)
-    if samples_per_n < 1:
-        raise InvalidInputError("samples_per_n must be positive")
     if cap < grid[-1]:
         raise InvalidInputError(f"cap={cap} is below the largest window {grid[-1]}")
-    master_seed = _check_seed(master_seed)
-    rate = RateFunction(d)
-    i_lo = rate.evaluate(r_lo)
-    i_hi = rate.evaluate(r_hi)
-    if not (math.isfinite(i_lo) and math.isfinite(i_hi)):
-        raise InvalidInputError(
-            f"rate function must be finite at both thresholds, got I(lo)={i_lo}, I(hi)={i_hi}"
-        )
-
     p_down = np.empty(len(grid))
     se_down = np.empty(len(grid))
     mean_stay = np.empty(len(grid))

@@ -38,19 +38,6 @@ class SlopeFit:
     dropped_ns: tuple[int, ...] = ()
     target: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
-            "log_values": list(self.log_values),
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "intercept": self.intercept,
-            "dropped_ns": list(self.dropped_ns),
-            "target": self.target,
-        }
-
 
 def _fit(ns, values, stderrs, sign: int, target: float | None) -> SlopeFit:
     ns = [int(n) for n in ns]

@@ -13,6 +13,14 @@ the reference semantics. ``run`` implements the same dynamics but draws
 increments in chunks and scans window sums vectorised; at a regime switch the
 unused tail of a chunk is discarded, so a run is reproducible given its seed
 but does not consume the stream in the same order as repeated step_* calls.
+
+``run`` and ``sample_exit`` are built on one stay scan, so a fresh stay and a
+run's first sojourn from the same seed make the same draws. They differ only
+at the horizon: ``run`` censors a stay whose exit is decided on its last draw,
+because that decision would govern a draw that never happens, while
+``sample_exit`` counts an exit on its cap-th draw. Sharing the scan capped the
+first chunk of ``sample_exit`` at 2^17 draws (it was 2N), which changes its
+stream for N > 65536.
 """
 
 from __future__ import annotations
@@ -61,10 +69,6 @@ class WalkState:
     window_sum: float
     head: int = 0
     steps_since_resum: int = 0
-
-    def window_chronological(self) -> np.ndarray:
-        """Window contents oldest-first."""
-        return np.concatenate([self.window[self.head:], self.window[:self.head]])
 
 
 @dataclass(frozen=True)
@@ -167,15 +171,56 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
-class _Engine:
-    """Chunked implementation of one run. See module docstring for the
-    dynamics; the invariants maintained between loop iterations are
+def _scan_stay(law, window, n, lo, hi, forced, budget, rng, chunk_size=None, absorb=None):
+    """The one sequential stay scan, shared by ``run`` and ``sample_exit``.
 
-    * ``window`` holds the last min(t, N) increments, oldest first;
-    * ``forced`` counts draws that must still happen without rule evaluation;
-    * every rule decision happens either at the loop top (exact window sum)
-      or inside a chunk scan, once per draw, never twice.
+    From ``window`` (the last min(t, N) draws), make ``forced`` draws of
+    ``law`` with no rule evaluation, then check the exact window sum, then
+    draw chunks (``chunk_size``, else ``max(64, 2N) << k`` capped at 2^17)
+    and find the first window sum outside [lo, hi) by a cumsum of
+    window+chunk, until one leaves or ``budget`` draws are made. The window
+    after the last draw is always checked. ``absorb(window, chunk, c0, total)``
+    sees each batch of draws after ``window``, with ``c0`` the zero-prefixed
+    cumsum of window+chunk or None, and ``total`` their sum. Returns the final
+    window, 'up'/'down' (None when the budget ran out first), the number of
+    draws and their sum.
     """
+    chunk = sample_n(law, min(forced, budget), rng)
+    steps, disp = len(chunk), float(chunk.sum())
+    if absorb is not None:
+        absorb(window, chunk, None, disp)
+    window = chunk if steps == n else np.concatenate([window, chunk])[-n:]
+    grown = 0
+    while True:
+        s = float(window.sum())  # exact: kills rolling drift
+        if s < lo or s >= hi:
+            return window, "down" if s < lo else "up", steps, disp
+        if steps == budget:
+            return window, None, steps, disp
+        m = min(chunk_size or min(max(64, 2 * n) << grown, 1 << 17), budget - steps)
+        grown += 1
+        chunk = sample_n(law, m, rng)
+        full = np.concatenate([window, chunk])
+        c0 = np.concatenate([[0.0], np.cumsum(full)])
+        ws = c0[n:] - c0[: m + 1]  # ws[j]: window sum after j draws of this chunk
+        viol = (ws < lo) | (ws >= hi)
+        viol[0] = False  # checked exactly above
+        hit = int(np.argmax(viol))  # 0 when every window sum stays inside
+        used = hit or m
+        total = float(c0[n + used] - c0[n])
+        if absorb is not None:
+            absorb(window, chunk[:used], c0, total)
+        window = full[used:used + n].copy()  # frees the chunk buffers before the next draw
+        steps += used
+        disp += total
+        if hit:
+            return window, "down" if ws[hit] < lo else "up", steps, disp
+
+
+class _Engine:
+    """Chunked implementation of one run: one ``_scan_stay`` per sojourn.
+    ``_absorb`` keeps position, time, occupancy, checkpoints and recorded
+    increments in step with the draws the scan makes."""
 
     def __init__(self, spec, delayed, steps, rng, checkpoint_times, record_increments, chunk_size):
         self.spec = spec
@@ -183,16 +228,13 @@ class _Engine:
         self.steps = steps
         self.rng = rng
         self.n = spec.window
-        self.lo_sums = np.array([self.n * threshold_bounds(spec, i)[0] for i in range(spec.l + 1)])
-        self.hi_sums = np.array([self.n * threshold_bounds(spec, i)[1] for i in range(spec.l + 1)])
+        self.sum_bounds = [[self.n * r for r in threshold_bounds(spec, i)] for i in range(spec.l + 1)]
         self.chunk_size = chunk_size
         self.pos = 0.0
         self.t = 0
         self.cur = spec.initial_regime
         self.window = np.empty(0, dtype=float)
         self.records: list[SojournRecord] = []
-        self.sojourn_start_t = 0
-        self.sojourn_start_pos = 0.0
         self.occupancy = np.zeros(spec.l + 1, dtype=np.int64)
         self.ckpt_times = checkpoint_times
         self.ckpt_next = 0
@@ -202,27 +244,18 @@ class _Engine:
         self.keep_increments = record_increments
         self.increments: list[np.ndarray] = []
 
-    def _next_chunk_len(self, grown: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return min(max(64, 2 * self.n) << grown, 1 << 17)
-
-    def _absorb(self, chunk: np.ndarray, c0: np.ndarray | None) -> None:
-        """Account for ``chunk`` being drawn under the current regime.
-
-        ``c0`` is the zero-prefixed cumsum of window+chunk when the caller
-        already built it; otherwise it is built here on demand for
-        checkpoint resolution.
-        """
+    def _absorb(self, window: np.ndarray, chunk: np.ndarray, c0: np.ndarray | None, total: float) -> None:
+        """Account for ``chunk`` being drawn under the current regime after
+        ``window``. When a checkpoint falls inside the chunk and ``c0`` is
+        None, it is built here and its difference replaces ``total``."""
         k = len(chunk)
-        if k == 0:
-            return
-        b = len(self.window)
+        b = len(window)
         while self.ckpt_next < len(self.ckpt_times) and self.ckpt_times[self.ckpt_next] <= self.t + k:
             u = int(self.ckpt_times[self.ckpt_next])
             if c0 is None:
-                full = np.concatenate([self.window, chunk])
+                full = np.concatenate([window, chunk])
                 c0 = np.concatenate([[0.0], np.cumsum(full)])
+                total = float(c0[b + k] - c0[b])
             j = u - self.t  # in 1..k
             self.ckpt_pos.append(self.pos + float(c0[b + j] - c0[b]))
             self.ckpt_regime.append(self.cur)
@@ -234,66 +267,25 @@ class _Engine:
             self.ckpt_next += 1
         if self.keep_increments:
             self.increments.append(chunk.copy())
-        self.pos += float(chunk.sum()) if c0 is None else float(c0[b + k] - c0[b])
+        self.pos += total
         self.occupancy[self.cur] += k
         self.t += k
-        if k >= self.n:
-            self.window = chunk[-self.n:].copy()
-        else:
-            self.window = np.concatenate([self.window, chunk])[-self.n:]
-
-    def _close_sojourn(self, direction: str | None) -> None:
-        self.records.append(SojournRecord(
-            regime=self.cur,
-            steps=self.t - self.sojourn_start_t,
-            displacement=self.pos - self.sojourn_start_pos,
-            exit_direction=direction,
-            censored=direction is None,
-        ))
-        self.sojourn_start_t = self.t
-        self.sojourn_start_pos = self.pos
 
     def run(self) -> RunResult:
-        n, steps = self.n, self.steps
-        forced = n  # the initial window refill, both versions
-        forced_after_switch = n if self.delayed else 1
-        grown = 0
-        while self.t < steps:
-            law = self.spec.dists[self.cur]
-            if forced > 0:
-                k = min(forced, steps - self.t)
-                self._absorb(sample_n(law, k, self.rng), None)
-                forced -= k
-                continue
-            lo, hi = self.lo_sums[self.cur], self.hi_sums[self.cur]
-            s = float(self.window.sum())  # exact: kills rolling drift
-            if s < lo or s >= hi:
-                self._close_sojourn("down" if s < lo else "up")
-                self.cur += -1 if s < lo else 1
-                forced = forced_after_switch
-                grown = 0
-                continue
-            m = min(self._next_chunk_len(grown), steps - self.t)
-            grown += 1
-            chunk = sample_n(law, m, self.rng)
-            c0 = np.concatenate([[0.0], np.cumsum(np.concatenate([self.window, chunk]))])
-            ws = c0[n:] - c0[: m + 1]  # ws[j]: window sum after j draws of this chunk
-            viol = (ws < lo) | (ws >= hi)
-            viol[0] = False  # checked exactly at loop top
-            hit = int(np.argmax(viol)) if viol.any() else 0
-            if hit == 0 or self.t + hit == steps:
-                # no decision inside this chunk belongs to the horizon
-                self._absorb(chunk, c0)
-                continue
-            self._absorb(chunk[:hit], c0[: n + hit + 1])
-            out_low = bool(ws[hit] < lo)
-            self._close_sojourn("down" if out_low else "up")
-            self.cur += -1 if out_low else 1
-            forced = forced_after_switch
-            grown = 0
-        if self.t > self.sojourn_start_t:
-            self._close_sojourn(None)
-        return self._result()
+        forced = self.n  # the initial window refill, both versions
+        while True:
+            start = self.pos
+            self.window, direction, steps, _ = _scan_stay(
+                self.spec.dists[self.cur], self.window, self.n, *self.sum_bounds[self.cur],
+                forced, self.steps - self.t, self.rng, self.chunk_size, self._absorb,
+            )
+            if self.t == self.steps:
+                direction = None  # a decision on the last draw governs no draw
+            self.records.append(SojournRecord(self.cur, steps, self.pos - start, direction, direction is None))
+            if direction is None:
+                return self._result()
+            self.cur += 1 if direction == "up" else -1
+            forced = self.n if self.delayed else 1
 
     def _result(self) -> RunResult:
         win = self.window.copy()
@@ -384,34 +376,8 @@ def sample_exit(
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or cap < n:
         raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
-    lo, hi = n * r_lo, n * r_hi
-    window = sample_n(d, n, rng)
-    pos = float(window.sum())
-    t = n
-    m = max(64, 2 * n)
-    while True:
-        s = float(window.sum())
-        if s < lo or s >= hi:
-            return SojournRecord(None, t, pos, "down" if s < lo else "up", False)
-        if t >= cap:
-            return SojournRecord(None, t, pos, None, True)
-        k = min(m, cap - t)
-        m = min(2 * m, 1 << 17)
-        chunk = sample_n(d, k, rng)
-        c0 = np.concatenate([[0.0], np.cumsum(np.concatenate([window, chunk]))])
-        ws = c0[n:] - c0[: k + 1]
-        viol = (ws < lo) | (ws >= hi)
-        viol[0] = False
-        hit = int(np.argmax(viol)) if viol.any() else 0
-        if hit == 0:
-            pos += float(c0[n + k] - c0[n])
-            t += k
-            window = chunk[-n:].copy() if k >= n else np.concatenate([window, chunk])[-n:]
-            continue
-        pos += float(c0[n + hit] - c0[n])
-        t += hit
-        out_low = bool(ws[hit] < lo)
-        return SojournRecord(None, t, pos, "down" if out_low else "up", False)
+    _, direction, steps, disp = _scan_stay(d, np.empty(0), n, n * r_lo, n * r_hi, n, cap, rng)
+    return SojournRecord(None, steps, disp, direction, direction is None)
 
 
 class BlockOutcome(Enum):

@@ -329,26 +329,41 @@ class TestRatefn:
 
 
 class TestBlocks:
-    def test_middle_regime_defaults_to_its_thresholds(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "command, fit", [("blocks", "up"), ("exits", "exit_down")], ids=["blocks", "exits"]
+    )
+    def test_middle_regime_defaults_to_its_thresholds(self, runner, tmp_path, command, fit):
         res = invoke(
             runner,
-            ["blocks", write_config(tmp_path, L2_DOC), "--dist", "1",
+            [command, write_config(tmp_path, L2_DOC), "--dist", "1",
              "--n-grid", "4,5,6", "--samples", "3000", "--seed", "3"],
         )
         assert res.exit_code == 0
         doc = json.loads(res.stdout)
         assert doc["r_lo"] == 0.4
         assert doc["r_hi"] == 1.3
-        assert doc["up"]["slope"] > 0
+        assert doc[fit]["slope"] > 0
 
-    def test_unbounded_regime_demands_explicit_thresholds(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["blocks", "exits"])
+    def test_unbounded_regime_demands_explicit_thresholds(self, runner, tmp_path, command):
         res = invoke(
             runner,
-            ["blocks", write_config(tmp_path, L1_DOC), "--dist", "1",
+            [command, write_config(tmp_path, L1_DOC), "--dist", "1",
              "--n-grid", "4,5,6", "--samples", "1000", "--seed", "3"],
         )
         assert res.exit_code == 2
         assert "unbounded" in res.stderr
+
+    @pytest.mark.parametrize("command", ["blocks", "exits"])
+    def test_non_finite_threshold_names_the_bound_given(self, runner, tmp_path, command):
+        res = invoke(
+            runner,
+            [command, write_config(tmp_path, L1_DOC), "--dist", "1", "--r-lo", "nan",
+             "--n-grid", "4,5,6", "--samples", "1000", "--seed", "3"],
+        )
+        assert res.exit_code == 2
+        assert "r_lo must be finite" in res.stderr
+        assert "unbounded" not in res.stderr
 
     def test_summary_lines_accompany_file_output(self, runner, tmp_path):
         out = tmp_path / "blocks.json"

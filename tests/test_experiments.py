@@ -9,6 +9,7 @@ Rademacher strings, and the slope fits against closed-form rate values.
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestEstimateSpeed:
     def test_reports_are_reproducible(self):
         a = estimate_speed(l1_gaussian(), "instantaneous", 30_000, 2, 77)
         b = estimate_speed(l1_gaussian(), "instantaneous", 30_000, 2, 77)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
         c = estimate_speed(l1_gaussian(), "instantaneous", 30_000, 2, 78)
         assert c.est_speed != a.est_speed
 
@@ -195,7 +196,7 @@ class TestSweepWindow:
         kw = {"steps_rule": lambda n: 20_000}
         a = sweep_window(l1_gaussian(), "delayed", (4, 6), 2, 19, **kw)
         b = sweep_window(l1_gaussian(), "delayed", (4, 6), 2, 19, **kw)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
     def test_tied_prediction_is_rejected(self):
         spec = ModelSpec(
@@ -377,7 +378,7 @@ class TestExitStatistics:
     def test_reports_are_reproducible(self):
         a = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 500, 100_000, 3)
         b = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 500, 100_000, 3)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
 class TestPersistence:

@@ -1,0 +1,79 @@
+"""Pinned SHA-256 digests of CLI report bytes on tiny configs.
+
+Acceptance criterion 10 only compares reruns of the same code. These digests
+also catch a refactor that silently changes how the random stream is consumed
+or how a report is serialised. A deliberate change of either updates the
+digests here and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from histwalk.cli import main
+
+
+def _gaussian(mu):
+    return {"kind": "gaussian", "mu": mu, "sigma2": 1.0}
+
+
+def _lattice(weights):
+    return {"kind": "finite_discrete", "atoms": [-1, 0, 1, 2], "weights": weights}
+
+
+TWO_GAUSSIANS = {
+    "model": {"dists": [_gaussian(0.0), _gaussian(1.0)], "thresholds": [0.4], "window": 5},
+    "run": {"version": "delayed", "seed": 11},
+}
+LATTICE_LADDER = {
+    "model": {
+        "dists": [
+            _lattice([0.3, 0.4, 0.2, 0.1]),
+            _lattice([0.1, 0.2, 0.4, 0.3]),
+            _lattice([0.05, 0.1, 0.3, 0.55]),
+        ],
+        "thresholds": [0.4, 1.3],
+        "window": 5,
+    },
+    "run": {"version": "instantaneous", "seed": 12},
+}
+
+# name -> (config, CLI arguments after the config path; OUT is the report file)
+CASES = {
+    "simulate": (TWO_GAUSSIANS, ["simulate", "--steps", "6000", "--replicas", "2", "--output", "OUT"]),
+    "simulate-trace": (LATTICE_LADDER, ["simulate", "--steps", "6000", "--replicas", "2", "--trace", "OUT"]),
+    "sweep-json": (TWO_GAUSSIANS, ["sweep", "--n-grid", "3,5", "--steps", "4000", "--replicas", "2",
+                                   "--json", "OUT"]),
+    "exits": (LATTICE_LADDER, ["exits", "--dist", "1", "--n-grid", "3,5,7", "--samples", "400",
+                               "--output", "OUT"]),
+    "blocks": (TWO_GAUSSIANS, ["blocks", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6",
+                               "--n-grid", "4,6,8", "--samples", "3000", "--output", "OUT"]),
+    "predict": (LATTICE_LADDER, ["predict", "--output", "OUT"]),
+}
+
+DIGESTS = {
+    "simulate": "b41e47370626ec09a20baaeb052b8339a3e8212a6a7816a3948baaa21c8f1608",
+    "simulate-trace": "6a4d90e82798477f84c6f6ee2d3e63d36a07d30794ada0caea6ade2def57d3e9",
+    "sweep-json": "e94f6d68bd77b5120c331d62dce267af1ab66e18cc9d3733bd8a85805f00cf6e",
+    "exits": "2e2f69f9d12491fdf2676b83c74314b25ba84dc2e81f725ea9598c74a6d737fe",
+    "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
+    "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
+}
+
+
+def report_bytes(name, tmp_path) -> bytes:
+    config, args = CASES[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report"
+    argv = [args[0], str(path)] + [str(out) if a == "OUT" else a for a in args[1:]]
+    res = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_pinned_digest(name, tmp_path):
+    assert hashlib.sha256(report_bytes(name, tmp_path)).hexdigest() == DIGESTS[name]

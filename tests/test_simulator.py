@@ -341,6 +341,39 @@ def test_sample_exit_validates():
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 10, AnyRng(0), cap=5)
 
 
+@pytest.mark.parametrize(
+    "d, r_lo, r_hi",
+    [
+        (Gaussian(1.0, 1.0), 0.4, 1.3),
+        (FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.1, 0.2, 0.4, 0.3)), 0.4, 1.3),
+        (Rademacher(0.5), -0.25, 0.25),
+    ],
+    ids=["gaussian", "lattice", "rademacher"],
+)
+@pytest.mark.parametrize("n", [1, 3, 10, 40])
+def test_sample_exit_is_the_first_stay_of_run(d, r_lo, r_hi, n):
+    # A fresh stay and a run's first sojourn from the middle regime walk the
+    # same draws. They differ only at the horizon: sample_exit counts an exit
+    # on its cap-th draw, run censors it since no draw follows the decision.
+    spec = ModelSpec(dists=(d, d, d), thresholds=(r_lo, r_hi), window=n, initial_regime=1)
+    edges = 0
+    for seed in range(10):
+        # the free stay's length puts its exit on the last draw of a horizon
+        free = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=20 * n + 300).steps
+        for steps in (20 * n + 300, free, max(n, free - 1)):
+            rec = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=steps)
+            first = run(spec, "delayed", steps, AnyRng(seed)).records[0]
+            assert first.regime == 1 and rec.steps == first.steps
+            # a checkpoint inside the refill makes run sum it by cumsum
+            assert rec.displacement == pytest.approx(first.displacement, abs=1e-9)
+            if rec.steps == steps and not rec.censored:
+                edges += 1
+                assert first.censored and first.exit_direction is None
+            else:
+                assert (rec.exit_direction, rec.censored) == (first.exit_direction, first.censored)
+    assert edges > 0
+
+
 def test_sample_exit_steps_match_oracle_rademacher():
     # replaying a one-regime stay through the oracle with l=0-style bounds
     d = Rademacher(0.5)
