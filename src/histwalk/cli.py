@@ -84,6 +84,11 @@ def _build_dist(obj, where: str):
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: floats, strings and booleans are rejected, not coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_run_section(run_cfg: dict) -> None:
     _reject_unknown(run_cfg, _RUN_KEYS, "run")
     version = run_cfg.get("version")
@@ -91,7 +96,7 @@ def _check_run_section(run_cfg: dict) -> None:
         raise ConfigError(f"run.version must be 'delayed' or 'instantaneous', got {version!r}")
     for key in _INT_RUN_KEYS:
         value = run_cfg.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        if value is not None and not _is_int(value):
             raise ConfigError(f"run.{key} must be an integer, got {value!r}")
     for key in _FLOAT_RUN_KEYS:
         value = run_cfg.get(key)
@@ -99,9 +104,7 @@ def _check_run_section(run_cfg: dict) -> None:
             raise ConfigError(f"run.{key} must be a number, got {value!r}")
     grid = run_cfg.get("n_grid")
     if grid is not None:
-        if not isinstance(grid, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in grid
-        ):
+        if not isinstance(grid, list) or not all(_is_int(n) for n in grid):
             raise ConfigError(f"run.n_grid must be a list of integers, got {grid!r}")
     output = run_cfg.get("output")
     if output is not None and not isinstance(output, str):
@@ -127,6 +130,9 @@ def load_config(path: str) -> tuple[ModelSpec, dict]:
     for key in ("dists", "thresholds", "window"):
         if key not in model:
             raise ConfigError(f"model is missing {key!r}")
+    for key in ("window", "initial_regime"):
+        if key in model and not _is_int(model[key]):
+            raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
     if not isinstance(model["dists"], list):
         raise ConfigError("model.dists must be a list")
     dists = tuple(_build_dist(obj, f"model.dists[{i}]") for i, obj in enumerate(model["dists"]))
@@ -134,8 +140,8 @@ def load_config(path: str) -> tuple[ModelSpec, dict]:
         spec = ModelSpec(
             dists=dists,
             thresholds=tuple(float(r) for r in model["thresholds"]),
-            window=int(model["window"]),
-            initial_regime=int(model.get("initial_regime", 0)),
+            window=model["window"],
+            initial_regime=model.get("initial_regime", 0),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"model: {err}") from err
@@ -243,12 +249,14 @@ def _parse_r_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise click.BadParameter(f"--r-grid must be numeric lo:hi:step, got {text!r}")
+    if not np.isfinite([lo, hi, step]).all():
+        raise click.BadParameter(f"--r-grid needs finite lo, hi and step, got {text!r}")
     if not step > 0 or hi < lo:
         raise click.BadParameter(f"--r-grid needs hi >= lo and step > 0, got {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    if count > 1_000_000:
-        raise click.BadParameter(f"--r-grid would produce {count} rows")
-    return [lo + k * step for k in range(count)]
+    span = (hi - lo) / step  # inf when the quotient overflows
+    if not span < 999_999.5:  # round(span) + 1 rows, at most 1e6
+        raise click.BadParameter(f"--r-grid would produce more than 1000000 rows, got {text!r}")
+    return [lo + k * step for k in range(int(round(span)) + 1)]
 
 
 def _dump_json(obj) -> str:

@@ -25,6 +25,8 @@ __all__ = [
     "cgf",
     "cgf_derivatives",
     "tail_prob",
+    "base_variates",
+    "from_base",
     "sample",
     "sample_n",
     "sample_mean_sums",
@@ -161,26 +163,29 @@ def tail_prob(d: IncrementDistribution, r: float, side: str) -> float:
     return ge if side == "ge" else float(np.sum(weights[atoms < r]))
 
 
-def sample(d: IncrementDistribution, rng) -> float:
-    """One draw. Discrete laws use inverse-CDF on the sorted atoms."""
+def base_variates(d: IncrementDistribution, n: int, rng) -> np.ndarray:
+    """``n`` base variates: standard normals for a Gaussian law, uniforms otherwise."""
+    return rng.standard_normal(n) if isinstance(d, Gaussian) else rng.random(n)
+
+
+def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
+    """One draw of ``d`` per base variate: affine for a Gaussian, inverse CDF otherwise."""
     if isinstance(d, Gaussian):
-        return d.mu + math.sqrt(d.sigma2) * float(rng.standard_normal())
-    u = float(rng.random())
+        return d.mu + math.sqrt(d.sigma2) * z
     if isinstance(d, Rademacher):
-        return -1.0 if u < 1.0 - d.p else 1.0
-    idx = int(np.searchsorted(d._cumw, u, side="right"))
-    return d.atoms[min(idx, len(d.atoms) - 1)]
+        return np.where(z < 1.0 - d.p, -1.0, 1.0)
+    idx = np.minimum(np.searchsorted(d._cumw, z, side="right"), len(d.atoms) - 1)
+    return np.asarray(d.atoms)[idx]
+
+
+def sample(d: IncrementDistribution, rng) -> float:
+    """One draw; the first of ``sample_n(d, n, rng)`` for any n."""
+    return float(from_base(d, base_variates(d, 1, rng))[0])
 
 
 def sample_n(d: IncrementDistribution, n: int, rng) -> np.ndarray:
-    """Vectorised draws; same atom mapping as sample()."""
-    if isinstance(d, Gaussian):
-        return d.mu + math.sqrt(d.sigma2) * rng.standard_normal(n)
-    u = rng.random(n)
-    if isinstance(d, Rademacher):
-        return np.where(u < 1.0 - d.p, -1.0, 1.0)
-    idx = np.minimum(np.searchsorted(d._cumw, u, side="right"), len(d.atoms) - 1)
-    return np.asarray(d.atoms)[idx]
+    """``n`` draws, one base variate each."""
+    return from_base(d, base_variates(d, n, rng))
 
 
 def sample_mean_sums(d: IncrementDistribution, n: int, size: int, rng) -> np.ndarray:

@@ -9,18 +9,19 @@ moves down, at-or-above the upper one moves up. The first N steps always use
 the initial regime, for both versions.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
-the reference semantics. ``run`` implements the same dynamics but draws
-increments in chunks and scans window sums vectorised; at a regime switch the
-unused tail of a chunk is discarded, so a run is reproducible given its seed
-but does not consume the stream in the same order as repeated step_* calls.
+the reference semantics. ``run`` implements the same dynamics but draws base
+variates in chunks and scans window sums vectorised. Variates drawn past a
+switch carry over to the next law, so the k-th increment of a run maps the
+k-th base variate of the stream, exactly as ``init`` and step_* calls do. The
+exceptions: a switch between a Gaussian and a discrete law drops them, as
+normals cannot stand in for uniforms, and a window sum that ties a threshold
+only up to rounding may be decided differently, as the two add in other orders.
 
 ``run`` and ``sample_exit`` are built on one stay scan, so a fresh stay and a
 run's first sojourn from the same seed make the same draws. They differ only
 at the horizon: ``run`` censors a stay whose exit is decided on its last draw,
 because that decision would govern a draw that never happens, while
-``sample_exit`` counts an exit on its cap-th draw. Sharing the scan capped the
-first chunk of ``sample_exit`` at 2^17 draws (it was 2N), which changes its
-stream for N > 65536.
+``sample_exit`` counts an exit on its cap-th draw.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import IncrementDistribution, sample, sample_n
+from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample, sample_n
 from .errors import InvalidInputError
 from .theory import ModelSpec, threshold_bounds
 
@@ -46,12 +47,15 @@ __all__ = [
     "step_instantaneous",
     "run",
     "sample_exit",
-    "sample_block_Z",
     "sample_block_outcomes",
 ]
 
 # rolling window sums are refreshed by exact recomputation this often
 _RESUM_INTERVAL = 1 << 20
+
+_BLOCK_BATCH_ELEMENTS = 1 << 22
+
+_NO_DRAWS = np.empty(0)
 
 _VERSIONS = ("delayed", "instantaneous")
 
@@ -86,11 +90,10 @@ class SojournRecord:
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """Checkpoint rows: running position and speed at selected times."""
+    """Checkpoint rows: running position, regime and window average."""
 
     times: np.ndarray
     positions: np.ndarray
-    speeds: np.ndarray
     regimes: np.ndarray
     window_avgs: np.ndarray
 
@@ -105,10 +108,6 @@ class RunResult:
     trace: TraceSummary
     occupancy_steps: np.ndarray
     increments: np.ndarray | None = None
-
-    @property
-    def terminal_speed(self) -> float:
-        return self.final_state.position / self.final_state.time
 
 
 def _check_version(version: str) -> bool:
@@ -171,22 +170,33 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
-def _scan_stay(law, window, n, lo, hi, forced, budget, rng, chunk_size=None, absorb=None):
+def _topped_up(law, ahead: np.ndarray, m: int, rng) -> np.ndarray:
+    """At least ``m`` base variates of ``law``: ``ahead``, topped up from ``rng``."""
+    if len(ahead) >= m:
+        return ahead
+    fresh = base_variates(law, m - len(ahead), rng)
+    return np.concatenate([ahead, fresh]) if len(ahead) else fresh
+
+
+def _scan_stay(law, window, n, lo, hi, forced, budget, rng, ahead=_NO_DRAWS, absorb=None):
     """The one sequential stay scan, shared by ``run`` and ``sample_exit``.
 
     From ``window`` (the last min(t, N) draws), make ``forced`` draws of
     ``law`` with no rule evaluation, then check the exact window sum, then
-    draw chunks (``chunk_size``, else ``max(64, 2N) << k`` capped at 2^17)
-    and find the first window sum outside [lo, hi) by a cumsum of
-    window+chunk, until one leaves or ``budget`` draws are made. The window
-    after the last draw is always checked. ``absorb(window, chunk, c0, total)``
-    sees each batch of draws after ``window``, with ``c0`` the zero-prefixed
-    cumsum of window+chunk or None, and ``total`` their sum. Returns the final
-    window, 'up'/'down' (None when the budget ran out first), the number of
-    draws and their sum.
+    draw chunks of ``max(64, 2N) << k`` (capped at 2^17) and find the first
+    window sum outside [lo, hi) by a cumsum of window+chunk, until one leaves
+    or ``budget`` draws are made. The window after the last draw is always
+    checked. Draws map the base variates in ``ahead`` first, then fresh ones.
+    ``absorb(window, chunk, c0, total)`` sees each batch of draws after
+    ``window``, with ``c0`` the zero-prefixed cumsum of window+chunk or None,
+    and ``total`` their sum. Returns the final window, 'up'/'down' (None when
+    the budget ran out first), the number of draws, their sum and the unused
+    base variates.
     """
-    chunk = sample_n(law, min(forced, budget), rng)
-    steps, disp = len(chunk), float(chunk.sum())
+    steps = min(forced, budget)
+    z = _topped_up(law, ahead, steps, rng)
+    chunk, ahead = from_base(law, z[:steps]), z[steps:]
+    disp = float(chunk.sum())
     if absorb is not None:
         absorb(window, chunk, None, disp)
     window = chunk if steps == n else np.concatenate([window, chunk])[-n:]
@@ -194,27 +204,29 @@ def _scan_stay(law, window, n, lo, hi, forced, budget, rng, chunk_size=None, abs
     while True:
         s = float(window.sum())  # exact: kills rolling drift
         if s < lo or s >= hi:
-            return window, "down" if s < lo else "up", steps, disp
+            return window, "down" if s < lo else "up", steps, disp, ahead
         if steps == budget:
-            return window, None, steps, disp
-        m = min(chunk_size or min(max(64, 2 * n) << grown, 1 << 17), budget - steps)
+            return window, None, steps, disp, ahead
+        m = min(max(64, 2 * n) << grown, 1 << 17, budget - steps)
         grown += 1
-        chunk = sample_n(law, m, rng)
-        full = np.concatenate([window, chunk])
-        c0 = np.concatenate([[0.0], np.cumsum(full)])
+        z = _topped_up(law, ahead, m, rng)
+        full = np.concatenate([window, from_base(law, z[:m])])
+        c0 = np.zeros(n + m + 1)
+        np.cumsum(full, out=c0[1:])
         ws = c0[n:] - c0[: m + 1]  # ws[j]: window sum after j draws of this chunk
         viol = (ws < lo) | (ws >= hi)
         viol[0] = False  # checked exactly above
         hit = int(np.argmax(viol))  # 0 when every window sum stays inside
         used = hit or m
+        ahead = z[used:] if used < len(z) else _NO_DRAWS
         total = float(c0[n + used] - c0[n])
         if absorb is not None:
-            absorb(window, chunk[:used], c0, total)
+            absorb(window, full[n:n + used], c0, total)
         window = full[used:used + n].copy()  # frees the chunk buffers before the next draw
         steps += used
         disp += total
         if hit:
-            return window, "down" if ws[hit] < lo else "up", steps, disp
+            return window, "down" if ws[hit] < lo else "up", steps, disp, ahead
 
 
 class _Engine:
@@ -222,14 +234,13 @@ class _Engine:
     ``_absorb`` keeps position, time, occupancy, checkpoints and recorded
     increments in step with the draws the scan makes."""
 
-    def __init__(self, spec, delayed, steps, rng, checkpoint_times, record_increments, chunk_size):
+    def __init__(self, spec, delayed, steps, rng, checkpoint_times, record_increments):
         self.spec = spec
         self.delayed = delayed
         self.steps = steps
         self.rng = rng
         self.n = spec.window
         self.sum_bounds = [[self.n * r for r in threshold_bounds(spec, i)] for i in range(spec.l + 1)]
-        self.chunk_size = chunk_size
         self.pos = 0.0
         self.t = 0
         self.cur = spec.initial_regime
@@ -273,11 +284,13 @@ class _Engine:
 
     def run(self) -> RunResult:
         forced = self.n  # the initial window refill, both versions
+        ahead = _NO_DRAWS
         while True:
             start = self.pos
-            self.window, direction, steps, _ = _scan_stay(
-                self.spec.dists[self.cur], self.window, self.n, *self.sum_bounds[self.cur],
-                forced, self.steps - self.t, self.rng, self.chunk_size, self._absorb,
+            law = self.spec.dists[self.cur]
+            self.window, direction, steps, _, ahead = _scan_stay(
+                law, self.window, self.n, *self.sum_bounds[self.cur],
+                forced, self.steps - self.t, self.rng, ahead, self._absorb,
             )
             if self.t == self.steps:
                 direction = None  # a decision on the last draw governs no draw
@@ -285,6 +298,8 @@ class _Engine:
             if direction is None:
                 return self._result()
             self.cur += 1 if direction == "up" else -1
+            if isinstance(self.spec.dists[self.cur], Gaussian) != isinstance(law, Gaussian):
+                ahead = _NO_DRAWS  # normals and uniforms cannot stand in for each other
             forced = self.n if self.delayed else 1
 
     def _result(self) -> RunResult:
@@ -299,12 +314,9 @@ class _Engine:
             window=win,
             window_sum=float(win.sum()),
         )
-        times = np.asarray(self.ckpt_times[: self.ckpt_next], dtype=np.int64)
-        positions = np.asarray(self.ckpt_pos)
         trace = TraceSummary(
-            times=times,
-            positions=positions,
-            speeds=positions / np.maximum(times, 1),
+            times=np.asarray(self.ckpt_times[: self.ckpt_next], dtype=np.int64),
+            positions=np.asarray(self.ckpt_pos),
             regimes=np.asarray(self.ckpt_regime, dtype=np.int64),
             window_avgs=np.asarray(self.ckpt_wavg),
         )
@@ -331,29 +343,24 @@ def run(
     *,
     checkpoint_times=None,
     record_increments: bool = False,
-    chunk_size: int | None = None,
 ) -> RunResult:
     """Simulate ``steps`` draws and return records, trace and final state.
 
     ``checkpoint_times`` defaults to ~64 geometrically spaced times in
     [N, steps]; extra times can be supplied (they are merged, deduplicated and
-    clipped). ``chunk_size`` pins the internal draw chunk length, which
-    changes how much of the stream is discarded at switches but never the
-    dynamics; it exists for tests.
+    clipped).
     """
     delayed = _check_version(version)
     steps = int(steps)
     if steps < spec.window:
         raise InvalidInputError(f"steps={steps} must be at least the window length {spec.window}")
-    if chunk_size is not None and chunk_size < 1:
-        raise InvalidInputError("chunk_size must be positive")
     if checkpoint_times is None:
         ckpts = _default_checkpoints(spec.window, steps)
     else:
         extra = np.asarray(list(checkpoint_times), dtype=np.int64)
         ckpts = np.unique(np.concatenate([_default_checkpoints(spec.window, steps), extra]))
         ckpts = ckpts[(ckpts >= 1) & (ckpts <= steps)]
-    eng = _Engine(spec, delayed, steps, rng, ckpts, record_increments, chunk_size)
+    eng = _Engine(spec, delayed, steps, rng, ckpts, record_increments)
     return eng.run()
 
 
@@ -376,7 +383,7 @@ def sample_exit(
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or cap < n:
         raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
-    _, direction, steps, disp = _scan_stay(d, np.empty(0), n, n * r_lo, n * r_hi, n, cap, rng)
+    _, direction, steps, disp, _ = _scan_stay(d, _NO_DRAWS, n, n * r_lo, n * r_hi, n, cap, rng)
     return SojournRecord(None, steps, disp, direction, direction is None)
 
 
@@ -403,31 +410,20 @@ _OUTCOME_BY_CODE = (BlockOutcome.UP, BlockOutcome.DOWN, BlockOutcome.BOTH, Block
 
 def _block_window_sums(d, n: int, count: int, rng) -> np.ndarray:
     draws = sample_n(d, count * (2 * n - 1), rng).reshape(count, 2 * n - 1)
-    c = np.cumsum(draws, axis=1)
-    c0 = np.concatenate([np.zeros((count, 1)), c], axis=1)
+    c0 = np.zeros((count, 2 * n))  # allocated after sampling's temporaries are gone
+    np.cumsum(draws, axis=1, out=c0[:, 1:])
     return c0[:, n:] - c0[:, :n]  # N sums per row
 
 
-def sample_block_Z(d: IncrementDistribution, r_lo: float, r_hi: float, n: int, rng) -> BlockOutcome:
-    """Classify one fresh block of 2N-1 increments of ``d``."""
-    if not r_lo < r_hi:
-        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    if n < 1:
-        raise InvalidInputError(f"N must be >= 1, got {n}")
-    ws = _block_window_sums(d, n, 1, rng)
-    return _OUTCOME_BY_CODE[int(_classify(ws, n * r_lo, n * r_hi)[0])]
-
-
 def sample_block_outcomes(
-    d: IncrementDistribution, r_lo: float, r_hi: float, n: int, rng, count: int,
-    batch: int = 1 << 22,
+    d: IncrementDistribution, r_lo: float, r_hi: float, n: int, rng, count: int
 ) -> dict[BlockOutcome, int]:
-    """Outcome counts over ``count`` independent blocks, drawn in batches."""
+    """Outcome counts over ``count`` fresh blocks of 2N-1 increments, drawn in batches."""
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or count < 1:
         raise InvalidInputError("N and count must be >= 1")
-    rows_per_batch = max(1, batch // (2 * n - 1))
+    rows_per_batch = max(1, _BLOCK_BATCH_ELEMENTS // (2 * n - 1))
     tallies = np.zeros(4, dtype=np.int64)
     done = 0
     while done < count:

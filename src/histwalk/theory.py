@@ -314,10 +314,8 @@ def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryRepo
     lam = dominance_exponents(spec)
     ups, downs = transition_exponents(spec)
     warnings: list[str] = []
-    finite_max = max(lam)
-    if math.isinf(finite_max):
-        warnings.append("a dominance exponent is infinite; the argmax is driven by an unreachable threshold")
-    argmax = tuple(i for i, v in enumerate(lam) if finite_max - v <= tie_tol)
+    top = max(lam)
+    argmax = tuple(i for i, v in enumerate(lam) if top - v <= tie_tol)
     means = spec.regime_means
     if len(argmax) == 1:
         speed = means[argmax[0]]

@@ -119,6 +119,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("window", 10.5), ("window", True), ("window", "10"), ("initial_regime", 0.9)],
+    )
+    def test_model_integers_are_not_coerced(self, runner, tmp_path, key, value):
+        path = write_config(tmp_path, mutate(L1_DOC, lambda d: d["model"].update({key: value})))
+        res = runner.invoke(main, ["validate", path])
+        assert res.exit_code == 2
+        assert f"model.{key} must be an integer, got {value!r}" in res.stderr
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
@@ -311,7 +321,10 @@ class TestRatefn:
             assert float(value_text) == value
             assert float(tilt_text) == tilt
 
-    @pytest.mark.parametrize("grid", ["1:2", "0:1:0", "3:1:0.5", "a:b:c"])
+    @pytest.mark.parametrize(
+        "grid",
+        ["1:2", "0:1:0", "3:1:0.5", "a:b:c", "nan:1:0.1", "0:inf:0.1", "-inf:0:1", "0:1e300:1e-300", "0:1:inf"],
+    )
     def test_malformed_grid_is_usage_error(self, runner, tmp_path, grid):
         res = runner.invoke(
             main,

@@ -54,24 +54,29 @@ CASES = {
 }
 
 DIGESTS = {
-    "simulate": "b41e47370626ec09a20baaeb052b8339a3e8212a6a7816a3948baaa21c8f1608",
-    "simulate-trace": "6a4d90e82798477f84c6f6ee2d3e63d36a07d30794ada0caea6ade2def57d3e9",
-    "sweep-json": "e94f6d68bd77b5120c331d62dce267af1ab66e18cc9d3733bd8a85805f00cf6e",
+    "simulate": "77c8d65d3d9d71c5fd9106ff0eeb11d500328da4a8f2af3cff364b733bcb51f5",
+    "simulate-trace": "93ddd4ecbcb771ad9bc7354b744262234d388d332d7033c82ef32474b5fba67e",
+    "sweep-json": "63bb9aed2d3ce426dc2abe94f578c589ae2ea5d5c54c26271250ea99a867a357",
     "exits": "2e2f69f9d12491fdf2676b83c74314b25ba84dc2e81f725ea9598c74a6d737fe",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
 }
 
 
-def report_bytes(name, tmp_path) -> bytes:
+def cli_argv(name, tmp_path) -> list[str]:
+    """The CLI arguments of one case, with its config written to ``tmp_path``
+    and its report going to ``tmp_path / "report"``."""
     config, args = CASES[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "report"
-    argv = [args[0], str(path)] + [str(out) if a == "OUT" else a for a in args[1:]]
-    res = CliRunner().invoke(main, argv, catch_exceptions=False)
+    return [args[0], str(path)] + [str(out) if a == "OUT" else a for a in args[1:]]
+
+
+def report_bytes(name, tmp_path) -> bytes:
+    res = CliRunner().invoke(main, cli_argv(name, tmp_path), catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    return out.read_bytes()
+    return (tmp_path / "report").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -13,7 +13,6 @@ from histwalk.simulator import (
     WalkState,
     init,
     run,
-    sample_block_Z,
     sample_block_outcomes,
     sample_exit,
     step_delayed,
@@ -178,18 +177,73 @@ def test_run_rejects_bad_args():
         run(spec, "sometimes", 100, AnyRng(0))
     with pytest.raises(InvalidInputError):
         run(spec, "delayed", 3, AnyRng(0))
-    with pytest.raises(InvalidInputError):
-        run(spec, "delayed", 100, AnyRng(0), chunk_size=0)
+
+
+def reference_path(spec, version, steps, rng):
+    """Increments and regimes of ``init`` plus repeated step_* calls."""
+    step = step_delayed if version == "delayed" else step_instantaneous
+    st = init(spec, rng)
+    incs = st.window.tolist()
+    regimes = [spec.initial_regime] * spec.window
+    while st.time < steps:
+        step(st, spec, rng)
+        incs.append(float(st.window[st.head - 1]))
+        regimes.append(st.regime)
+    return np.array(incs), regimes
+
+
+def regime_path(res):
+    return np.repeat([rec.regime for rec in res.records], [rec.steps for rec in res.records]).tolist()
+
+
+LADDERS = {
+    "gaussian-l1": ModelSpec(
+        dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)), thresholds=(0.4,), window=10, initial_regime=0,
+    ),
+    "gaussian-l2": ModelSpec(
+        dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0), Gaussian(2.0, 1.0)),
+        thresholds=(0.45, 1.55), window=4, initial_regime=1,
+    ),
+    "rademacher": rademacher_spec(3),
+    "point-masses": flip_spec(2),
+    "integer-atoms": ModelSpec(
+        dists=(FiniteDiscrete((-3.0, 1.0, 7.0), (0.5, 0.3, 0.2)), FiniteDiscrete((-3.0, 1.0, 7.0), (0.2, 0.3, 0.5))),
+        thresholds=(1.0,), window=3, initial_regime=0,
+    ),
+}
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
-@pytest.mark.parametrize("chunk", [3, 8, 64])
-def test_run_chunk_size_does_not_change_deterministic_dynamics(version, chunk):
-    ref = run(flip_spec(2), version, 200, AnyRng(0), chunk_size=None, record_increments=True)
-    alt = run(flip_spec(2), version, 200, AnyRng(1), chunk_size=chunk, record_increments=True)
-    assert np.array_equal(ref.increments, alt.increments)
-    assert [(r.regime, r.steps) for r in ref.records] == [(r.regime, r.steps) for r in alt.records]
-    assert ref.final_state.position == alt.final_state.position
+@pytest.mark.parametrize("ladder", sorted(LADDERS))
+def test_run_is_the_reference_draw_for_draw(ladder, version):
+    # the engine reads the stream one base variate per step, carrying the
+    # variates a chunk drew past a switch into the next sojourn
+    spec = LADDERS[ladder]
+    switches = 0
+    for seed in range(20):
+        res = run(spec, version, 3000, AnyRng(seed), record_increments=True)
+        incs, regimes = reference_path(spec, version, 3000, AnyRng(seed))
+        assert np.array_equal(res.increments, incs), f"seed={seed}"
+        assert regime_path(res) == regimes, f"seed={seed}"
+        switches += len(res.records) - 1
+    assert switches > 20 * 10
+
+
+def test_run_mixed_ladder_drops_carried_variates_of_the_other_kind():
+    # normals left over from the Gaussian regime must not be read as the
+    # uniforms of the two-atom law, nor uniforms as normals
+    spec = ModelSpec(
+        dists=(Gaussian(0.0, 1.0), FiniteDiscrete((0.0, 2.0), (0.5, 0.5))),
+        thresholds=(0.5,),
+        window=3,
+        initial_regime=0,
+    )
+    res = run(spec, "instantaneous", 100_000, AnyRng(31), record_increments=True)
+    upper = res.increments[np.array(regime_path(res)) == 1]
+    assert set(np.unique(upper)) <= {0.0, 2.0}
+    assert len(upper) > 10_000
+    freq = float(np.mean(upper == 0.0))
+    assert abs(freq - 0.5) < 5 * math.sqrt(0.25 / len(upper))
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
@@ -292,9 +346,8 @@ def test_run_trace_checkpoints():
     assert tr.times[0] >= 4 and tr.times[-1] == 5000
     assert np.all(np.diff(tr.times) > 0)
     csum = np.cumsum(res.increments)
-    for t, p, s, wa in zip(tr.times, tr.positions, tr.speeds, tr.window_avgs):
+    for t, p, wa in zip(tr.times, tr.positions, tr.window_avgs):
         assert p == pytest.approx(csum[t - 1], abs=1e-9)
-        assert s == pytest.approx(p / t, abs=1e-12)
         assert wa == pytest.approx(float(res.increments[t - 4:t].sum()) / 4, abs=1e-9)
 
 
@@ -394,11 +447,18 @@ def test_sample_exit_steps_match_oracle_rademacher():
 # --------------------------------------------------------------- block samples
 
 
+def one_block(d, r_lo, r_hi, n, rng):
+    """The outcome of a single fresh block."""
+    counts = sample_block_outcomes(d, r_lo, r_hi, n, rng, 1)
+    assert sum(counts.values()) == 1
+    return next(out for out, k in counts.items() if k)
+
+
 def test_block_point_mass_cases():
     rng = AnyRng(0)
-    assert sample_block_Z(point(0.5), 0.0, 1.0, 5, rng) is BlockOutcome.NONE
-    assert sample_block_Z(point(1.5), 0.0, 1.0, 5, rng) is BlockOutcome.UP
-    assert sample_block_Z(point(-0.5), 0.0, 1.0, 5, rng) is BlockOutcome.DOWN
+    assert one_block(point(0.5), 0.0, 1.0, 5, rng) is BlockOutcome.NONE
+    assert one_block(point(1.5), 0.0, 1.0, 5, rng) is BlockOutcome.UP
+    assert one_block(point(-0.5), 0.0, 1.0, 5, rng) is BlockOutcome.DOWN
 
 
 def test_block_n1_rademacher_never_none():
@@ -438,9 +498,9 @@ def test_block_scalar_and_batch_agree_in_distribution():
                else BlockOutcome.BOTH if up and dn else BlockOutcome.NONE)
         outcomes[key] += 1
     # scripted check on two hand blocks
-    assert sample_block_Z(d, -0.5, 0.5, 2, rademacher_script([1, 1, -1])) is BlockOutcome.UP
-    assert sample_block_Z(d, -0.5, 0.5, 2, rademacher_script([-1, -1, 1])) is BlockOutcome.DOWN
-    assert sample_block_Z(d, -0.5, 0.5, 2, rademacher_script([-1, 1, -1])) is BlockOutcome.NONE
+    assert one_block(d, -0.5, 0.5, 2, rademacher_script([1, 1, -1])) is BlockOutcome.UP
+    assert one_block(d, -0.5, 0.5, 2, rademacher_script([-1, -1, 1])) is BlockOutcome.DOWN
+    assert one_block(d, -0.5, 0.5, 2, rademacher_script([-1, 1, -1])) is BlockOutcome.NONE
     # BOTH is impossible for N=2 with these thresholds: windows overlap in b
     assert outcomes[BlockOutcome.BOTH] == 0
     counts = sample_block_outcomes(d, -0.5, 0.5, 2, rng, 20_000)
@@ -451,6 +511,6 @@ def test_block_scalar_and_batch_agree_in_distribution():
 
 def test_block_validates():
     with pytest.raises(InvalidInputError):
-        sample_block_Z(Gaussian(0, 1), 0.5, 0.5, 3, AnyRng(0))
+        sample_block_outcomes(Gaussian(0, 1), 0.5, 0.5, 3, AnyRng(0), 1)
     with pytest.raises(InvalidInputError):
         sample_block_outcomes(Gaussian(0, 1), -0.5, 0.5, 0, AnyRng(0), 10)
