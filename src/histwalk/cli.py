@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import tempfile
 from dataclasses import asdict
 
@@ -51,6 +52,7 @@ _DIST_FIELDS = {
     "rademacher": {"p"},
     "finite_discrete": {"atoms", "weights"},
 }
+_DIST_LAWS = {"gaussian": Gaussian, "rademacher": Rademacher, "finite_discrete": FiniteDiscrete}
 _INT_RUN_KEYS = ("steps", "replicas", "seed", "samples", "cap", "horizon", "dist")
 _FLOAT_RUN_KEYS = ("r", "r_lo", "r_hi")
 
@@ -71,15 +73,10 @@ def _build_dist(obj, where: str):
     missing = sorted(_DIST_FIELDS[kind] - set(obj))
     if missing:
         raise ConfigError(f"{where} is missing {missing}")
+    read = _numbers if kind == "finite_discrete" else _number
+    fields = {key: read(obj, key, where) for key in sorted(_DIST_FIELDS[kind])}
     try:
-        if kind == "gaussian":
-            return Gaussian(mu=float(obj["mu"]), sigma2=float(obj["sigma2"]))
-        if kind == "rademacher":
-            return Rademacher(p=float(obj["p"]))
-        return FiniteDiscrete(
-            atoms=tuple(float(a) for a in obj["atoms"]),
-            weights=tuple(float(w) for w in obj["weights"]),
-        )
+        return _DIST_LAWS[kind](**fields)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -87,6 +84,28 @@ def _build_dist(obj, where: str):
 def _is_int(value) -> bool:
     """A JSON integer: floats, strings and booleans are rejected, not coerced."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number a float can hold: strings, booleans and integers beyond
+    the float range are rejected, not coerced."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    value = obj[key]
+    if not _is_number(value):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
+    value = obj[key]
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ConfigError(f"{where}.{key} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _check_run_section(run_cfg: dict) -> None:
@@ -100,7 +119,7 @@ def _check_run_section(run_cfg: dict) -> None:
             raise ConfigError(f"run.{key} must be an integer, got {value!r}")
     for key in _FLOAT_RUN_KEYS:
         value = run_cfg.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        if value is not None and not _is_number(value):
             raise ConfigError(f"run.{key} must be a number, got {value!r}")
     grid = run_cfg.get("n_grid")
     if grid is not None:
@@ -136,10 +155,11 @@ def load_config(path: str) -> tuple[ModelSpec, dict]:
     if not isinstance(model["dists"], list):
         raise ConfigError("model.dists must be a list")
     dists = tuple(_build_dist(obj, f"model.dists[{i}]") for i, obj in enumerate(model["dists"]))
+    thresholds = _numbers(model, "thresholds", "model")
     try:
         spec = ModelSpec(
             dists=dists,
-            thresholds=tuple(float(r) for r in model["thresholds"]),
+            thresholds=thresholds,
             window=model["window"],
             initial_regime=model.get("initial_regime", 0),
         )

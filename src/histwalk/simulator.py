@@ -1,4 +1,4 @@
-"""Walk dynamics: single-step reference semantics and a fast chunked engine.
+"""Walk dynamics: single-step reference semantics and a fast block walker.
 
 A walk keeps a ring buffer of its last N increments. At each step it may
 first re-evaluate its regime (always, for the instantaneous version; only
@@ -9,24 +9,45 @@ moves down, at-or-above the upper one moves up. The first N steps always use
 the initial regime, for both versions.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
-the reference semantics. ``run`` implements the same dynamics but draws base
-variates in chunks and scans window sums vectorised. Variates drawn past a
-switch carry over to the next law, so the k-th increment of a run maps the
-k-th base variate of the stream, exactly as ``init`` and step_* calls do. The
-exceptions: a switch between a Gaussian and a discrete law drops them, as
-normals cannot stand in for uniforms, and a window sum that ties a threshold
-only up to rounding may be decided differently, as the two add in other orders.
+the reference semantics. ``run`` implements the same dynamics with a block
+walker, which draws base variates in blocks on one schedule for the whole
+walk: the N forced initial draws as a block of their own, then blocks of
+``max(64, 2N) << k``, capped at 2^14 and at the remaining budget. The cap
+keeps the walker's memory to a few arrays of one block; blocks at the cap
+write into buffers kept for the walk rather than into new arrays. For each
+block, and for each regime the first time it draws in the block, a lane maps
+the block with that regime's law, takes one cumsum over the actual window
+followed by the mapped draws, and lists the positions where the window sum
+leaves the regime's [lo, hi). A stay's exit is the first listed position at
+or after its first rule evaluation: N draws after a delayed switch, one after
+an instantaneous one, whose first N-1 windows still hold the old law's draws
+and are summed from the actual window instead. Position, occupancy,
+checkpoints, records and kept increments are read off the lane cumsums once
+per stay.
 
-``run`` and ``sample_exit`` are built on one stay scan, so a fresh stay and a
-run's first sojourn from the same seed make the same draws. They differ only
-at the horizon: ``run`` censors a stay whose exit is decided on its last draw,
+The k-th increment of a run maps the k-th base variate of the stream, exactly
+as ``init`` and step_* calls do. The exceptions: a switch between a Gaussian
+and a discrete law drops the rest of the block, as normals cannot stand in
+for uniforms, and starts the schedule over, so that frequent such switches
+waste only the rest of small blocks; and a window sum that ties a threshold
+only up to rounding may be decided differently, as the two add in other
+orders.
+
+``run`` and ``sample_exit`` are the same walk, so a fresh stay and a run's
+first sojourn from the same seed make the same draws. They differ only at the
+horizon: ``run`` censors a stay whose exit is decided on its last draw,
 because that decision would govern a draw that never happens, while
-``sample_exit`` counts an exit on its cap-th draw.
+``sample_exit`` counts an exit on its cap-th draw. A ``sample_exit`` stay
+leaves the rest of its last block unused, so the blocks it draws set where
+the next stay's draws begin. The 2^14 cap first shortens a block 16k to 33k
+draws after the refill (at once when 2N > 2^14); stays longer than that read
+different blocks than under the former 2^17 cap.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +73,9 @@ __all__ = [
 
 # rolling window sums are refreshed by exact recomputation this often
 _RESUM_INTERVAL = 1 << 20
+
+# the block walker's largest block of base variates
+_BLOCK_CAP = 1 << 14
 
 _BLOCK_BATCH_ELEMENTS = 1 << 22
 
@@ -170,147 +194,218 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
-def _topped_up(law, ahead: np.ndarray, m: int, rng) -> np.ndarray:
-    """At least ``m`` base variates of ``law``: ``ahead``, topped up from ``rng``."""
-    if len(ahead) >= m:
-        return ahead
-    fresh = base_variates(law, m - len(ahead), rng)
-    return np.concatenate([ahead, fresh]) if len(ahead) else fresh
-
-
-def _scan_stay(law, window, n, lo, hi, forced, budget, rng, ahead=_NO_DRAWS, absorb=None):
-    """The one sequential stay scan, shared by ``run`` and ``sample_exit``.
-
-    From ``window`` (the last min(t, N) draws), make ``forced`` draws of
-    ``law`` with no rule evaluation, then check the exact window sum, then
-    draw chunks of ``max(64, 2N) << k`` (capped at 2^17) and find the first
-    window sum outside [lo, hi) by a cumsum of window+chunk, until one leaves
-    or ``budget`` draws are made. The window after the last draw is always
-    checked. Draws map the base variates in ``ahead`` first, then fresh ones.
-    ``absorb(window, chunk, c0, total)`` sees each batch of draws after
-    ``window``, with ``c0`` the zero-prefixed cumsum of window+chunk or None,
-    and ``total`` their sum. Returns the final window, 'up'/'down' (None when
-    the budget ran out first), the number of draws, their sum and the unused
-    base variates.
-    """
-    steps = min(forced, budget)
-    z = _topped_up(law, ahead, steps, rng)
-    chunk, ahead = from_base(law, z[:steps]), z[steps:]
-    disp = float(chunk.sum())
-    if absorb is not None:
-        absorb(window, chunk, None, disp)
-    window = chunk if steps == n else np.concatenate([window, chunk])[-n:]
-    grown = 0
-    while True:
-        s = float(window.sum())  # exact: kills rolling drift
+def _straddle(actual: np.ndarray, full: np.ndarray, q: int, p: int, m: int, n: int, lo: float, hi: float):
+    """The first window sum at block positions p+1..p+N-1 (at most m) outside
+    [lo, hi), for a stay that re-enters its regime at ``p`` under the
+    instantaneous rule. Those windows still hold draws made before ``p`` by
+    other laws, which the regime's lane, built at ``q`` < ``p``, does not; so
+    the sum rolls from the actual window at ``p`` as the reference's does.
+    Returns the position and whether the sum fell below ``lo``, or two Nones."""
+    window = actual[p:p + n].tolist()
+    s = sum(window)
+    for i, x in enumerate(full[n + p - q:n + p - q + min(n - 1, m - p)].tolist()):
+        s += x - window[i]
         if s < lo or s >= hi:
-            return window, "down" if s < lo else "up", steps, disp, ahead
-        if steps == budget:
-            return window, None, steps, disp, ahead
-        m = min(max(64, 2 * n) << grown, 1 << 17, budget - steps)
-        grown += 1
-        z = _topped_up(law, ahead, m, rng)
-        full = np.concatenate([window, from_base(law, z[:m])])
-        c0 = np.zeros(n + m + 1)
-        np.cumsum(full, out=c0[1:])
-        ws = c0[n:] - c0[: m + 1]  # ws[j]: window sum after j draws of this chunk
-        viol = (ws < lo) | (ws >= hi)
-        viol[0] = False  # checked exactly above
-        hit = int(np.argmax(viol))  # 0 when every window sum stays inside
-        used = hit or m
-        ahead = z[used:] if used < len(z) else _NO_DRAWS
-        total = float(c0[n + used] - c0[n])
-        if absorb is not None:
-            absorb(window, full[n:n + used], c0, total)
-        window = full[used:used + n].copy()  # frees the chunk buffers before the next draw
-        steps += used
-        disp += total
-        if hit:
-            return window, "down" if ws[hit] < lo else "up", steps, disp, ahead
+            return p + 1 + i, s < lo
+    return None, None
 
 
-class _Engine:
-    """Chunked implementation of one run: one ``_scan_stay`` per sojourn.
-    ``_absorb`` keeps position, time, occupancy, checkpoints and recorded
-    increments in step with the draws the scan makes."""
+class _Walk:
+    """One walk on the block schedule; a ``run`` is one, and so is a ``sample_exit`` stay.
 
-    def __init__(self, spec, delayed, steps, rng, checkpoint_times, record_increments):
-        self.spec = spec
+    Regime i draws ``laws[i]`` and is left when its window sum falls outside
+    ``bounds[i]``. The walk ends after ``budget`` draws or when a stay leaves
+    the ladder: ``sample_exit`` gives its one law finite bounds, while a
+    run's outer regimes have an infinite side. Position, occupancy,
+    checkpoints, records and kept increments are read off the lanes once per
+    stay and block.
+    """
+
+    def __init__(self, laws, bounds, n, delayed, budget, rng, regime, checkpoints=(), keep_increments=False):
+        self.laws = laws
+        self.gaussian = [isinstance(d, Gaussian) for d in laws]
+        self.bounds = bounds
+        self.n = n
         self.delayed = delayed
-        self.steps = steps
+        self.budget = budget
         self.rng = rng
-        self.n = spec.window
-        self.sum_bounds = [[self.n * r for r in threshold_bounds(spec, i)] for i in range(spec.l + 1)]
-        self.pos = 0.0
-        self.t = 0
-        self.cur = spec.initial_regime
-        self.window = np.empty(0, dtype=float)
-        self.records: list[SojournRecord] = []
-        self.occupancy = np.zeros(spec.l + 1, dtype=np.int64)
-        self.ckpt_times = checkpoint_times
+        self.cur = regime
+        self.t = 0  # draws made before the current block
+        self.pos = 0.0  # position at the start of the current stay segment
+        self.window = _NO_DRAWS  # the last N draws before the current block
+        self.stay_t = 0
+        self.stay_pos = 0.0
+        self.decide = n  # time of the current stay's next rule evaluation
+        self.grown = 0  # the next block is max(64, 2N) << grown draws
+        self.stays: list[tuple] = []  # (regime, steps, displacement, exit direction or None)
+        self.occupancy = [0] * len(laws)
+        self.ckpt_times = checkpoints
         self.ckpt_next = 0
         self.ckpt_pos: list[float] = []
         self.ckpt_regime: list[int] = []
         self.ckpt_wavg: list[float] = []
-        self.keep_increments = record_increments
+        self.keep_increments = keep_increments
         self.increments: list[np.ndarray] = []
+        self.buffers: dict = {}  # see _out
+        self.at_cap = False  # whether the current block has the largest size
 
-    def _absorb(self, window: np.ndarray, chunk: np.ndarray, c0: np.ndarray | None, total: float) -> None:
-        """Account for ``chunk`` being drawn under the current regime after
-        ``window``. When a checkpoint falls inside the chunk and ``c0`` is
-        None, it is built here and its difference replaces ``total``."""
-        k = len(chunk)
-        b = len(window)
-        while self.ckpt_next < len(self.ckpt_times) and self.ckpt_times[self.ckpt_next] <= self.t + k:
-            u = int(self.ckpt_times[self.ckpt_next])
-            if c0 is None:
-                full = np.concatenate([window, chunk])
-                c0 = np.concatenate([[0.0], np.cumsum(full)])
-                total = float(c0[b + k] - c0[b])
-            j = u - self.t  # in 1..k
-            self.ckpt_pos.append(self.pos + float(c0[b + j] - c0[b]))
-            self.ckpt_regime.append(self.cur)
-            back = b + j - self.n
-            if u >= self.n and back >= 0:
-                self.ckpt_wavg.append(float(c0[b + j] - c0[back]) / self.n)
-            else:
-                self.ckpt_wavg.append(math.nan)
-            self.ckpt_next += 1
+    def walk(self) -> None:
+        n, law = self.n, self.laws[self.cur]
+        x = from_base(law, base_variates(law, n, self.rng))  # the forced refill, a block of its own
+        # only checkpoints read it; windows before time N are incomplete and average to NaN
+        actual = np.concatenate((np.full(n, math.nan), x)) if self.ckpt_times else None
+        s = float(x.sum())  # exact: the one evaluation of the refill, at time N
+        self._advance(actual, 0, n, s)
+        self.t, self.window = n, x
         if self.keep_increments:
-            self.increments.append(chunk.copy())
-        self.pos += total
-        self.occupancy[self.cur] += k
-        self.t += k
+            self.increments.append(x)
+        lo, hi = self.bounds[self.cur]
+        if s < lo or s >= hi:
+            alive = self._close(n, "down" if s < lo else "up")
+        else:
+            self.decide = n + 1
+            alive = n < self.budget or self._close(n, None)
+        while alive:
+            m = min(max(64, 2 * n) << self.grown, _BLOCK_CAP, self.budget - self.t)
+            self.grown += 1
+            alive = self._block(m)
 
-    def run(self) -> RunResult:
-        forced = self.n  # the initial window refill, both versions
-        ahead = _NO_DRAWS
+    def _block(self, m: int) -> bool:
+        """Draw ``m`` base variates and walk them; False once the walk has ended.
+
+        Each pass handles one stay's draws in the block: the first exit at or
+        after the stay's next evaluation is looked up in its regime's lane,
+        built the first time the regime draws in the block. A stay that
+        starts a block, or builds its lane, reads every window sum off the
+        lane; one that re-enters its regime under the instantaneous rule sums
+        its first N-1 windows by ``_straddle``. A switch between a Gaussian
+        and a discrete law drops the rest of the block.
+        """
+        n, t = self.n, self.t
+        self.at_cap = m == _BLOCK_CAP
+        z = base_variates(self.laws[self.cur], m, self.rng, out=self._out("z", m))
+        lanes = {}
+        # actual[N + k] is the draw at block position k, after the carried window.
+        # It is the first lane's ``full``: every other regime writes its draws
+        # over positions at which that lane's law draws nothing.
+        actual = None
+        p = 0  # the block position where the current stay's draws in this block begin
         while True:
-            start = self.pos
-            law = self.spec.dists[self.cur]
-            self.window, direction, steps, _, ahead = _scan_stay(
-                law, self.window, self.n, *self.sum_bounds[self.cur],
-                forced, self.steps - self.t, self.rng, ahead, self._absorb,
-            )
-            if self.t == self.steps:
-                direction = None  # a decision on the last draw governs no draw
-            self.records.append(SojournRecord(self.cur, steps, self.pos - start, direction, direction is None))
-            if direction is None:
-                return self._result()
-            self.cur += 1 if direction == "up" else -1
-            if isinstance(self.spec.dists[self.cur], Gaussian) != isinstance(law, Gaussian):
-                ahead = _NO_DRAWS  # normals and uniforms cannot stand in for each other
-            forced = self.n if self.delayed else 1
+            cur = self.cur
+            lo, hi = self.bounds[cur]
+            d = self.decide - t  # block position of the stay's next evaluation
+            hit = down = None
+            if cur in lanes:
+                q, full, c0, exits = lanes[cur]
+                if d < p + n:  # only under the instantaneous rule
+                    hit, down = _straddle(actual, full, q, p, m, n, lo, hi)
+                    d = p + n
+            else:
+                q = p
+                window = self.window if actual is None else actual[p:p + n]
+                full, c0, exits = self._lane(cur, window, z[p:])
+                lanes[cur] = q, full, c0, exits
+                if actual is None:
+                    actual = full
+            if hit is None:
+                i = bisect_left(exits, d - q)
+                if i < len(exits):
+                    hit = exits[i] + q
+                    down = float(c0[n + hit - q] - c0[hit - q]) < lo
+            stop = m if hit is None else hit
+            if actual is not full:
+                actual[n + p:n + stop] = full[n + p - q:n + stop - q]
+            self._advance(actual, p, stop, float(c0[n + stop - q] - c0[n + p - q]))
+            if hit is None:
+                self.decide = max(self.decide, t + m + 1)
+                alive = t + m < self.budget or self._close(t + m, None)
+                break
+            alive = self._close(t + hit, "down" if down else "up")
+            if not alive or hit == m:
+                m = hit
+                break
+            if self.gaussian[self.cur] != self.gaussian[cur]:
+                # normals and uniforms cannot stand in for each other: the rest
+                # of the block is dropped, and the next block starts small again
+                m, self.grown = hit, 0
+                break
+            p = hit
+        self.t = t + m
+        self.window = actual[m:m + n].copy()
+        if self.keep_increments:
+            self.increments.append(actual[n:n + m].copy())
+        return alive
 
-    def _result(self) -> RunResult:
+    def _out(self, key, size: int, dtype=float) -> np.ndarray | None:
+        """Where a block-sized result goes: None, for a new array, while the
+        blocks grow; once they reach the cap, ``size`` elements of a buffer
+        kept for the rest of the walk. Arrays of the largest block's size,
+        allocated and freed block after block, would be handed back to the
+        system and page-faulted in again each time."""
+        if not self.at_cap:
+            return None
+        buf = self.buffers.get(key)
+        if buf is None:
+            buf = self.buffers[key] = np.empty(self.n + _BLOCK_CAP + 1, dtype)
+        return buf[:size]
+
+    def _lane(self, regime: int, window: np.ndarray, z: np.ndarray):
+        """Regime ``regime``'s view of the block from the position ``window`` ends at.
+
+        ``full`` is ``window``, the actual last N draws, followed by the
+        regime's law mapped over ``z``; ``c0`` is its zero-prefixed cumsum,
+        so ``c0[N + j] - c0[j]`` is the window sum after j more draws of that
+        law. ``exits`` lists the j at which that sum leaves the regime's
+        [lo, hi), ascending.
+        """
+        n, k = self.n, len(z)
+        lo, hi = self.bounds[regime]
+        full = np.concatenate((window, from_base(self.laws[regime], z)), out=self._out(("full", regime), n + k))
+        c0 = self._out(("c0", regime), n + k + 1)
+        if c0 is None:
+            c0 = np.empty(n + k + 1)
+        c0[0] = 0.0
+        full.cumsum(out=c0[1:])
+        ws = np.subtract(c0[n:], c0[:-n], out=self._out("ws", k + 1))
+        below = np.less(ws, lo, out=self._out("below", k + 1, bool))
+        above = np.greater_equal(ws, hi, out=self._out("above", k + 1, bool))
+        return full, c0, np.logical_or(below, above, out=below).nonzero()[0].tolist()
+
+    def _advance(self, actual: np.ndarray, p: int, stop: int, disp: float) -> None:
+        """Account for the current regime's draws at block positions p..stop-1,
+        already in ``actual[N + p:N + stop]``, which add up to ``disp``."""
+        n, t, times = self.n, self.t, self.ckpt_times
+        while self.ckpt_next < len(times) and times[self.ckpt_next] <= t + stop:
+            k = times[self.ckpt_next] - t
+            self.ckpt_pos.append(self.pos + float(actual[n + p:n + k].sum()))
+            self.ckpt_regime.append(self.cur)
+            self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n)
+            self.ckpt_next += 1
+        self.pos += disp
+        self.occupancy[self.cur] += stop - p
+
+    def _close(self, now: int, direction: str | None) -> bool:
+        """End the current stay at time ``now``, leaving ``direction`` (None
+        at the horizon), and start the next one; False when the walk ends."""
+        self.stays.append((self.cur, now - self.stay_t, self.pos - self.stay_pos, direction))
+        if direction is None or now == self.budget:
+            return False
+        self.cur += 1 if direction == "up" else -1
+        self.stay_t, self.stay_pos = now, self.pos
+        self.decide = now + (self.n if self.delayed else 1)
+        return 0 <= self.cur < len(self.laws)
+
+    def result(self, spec: ModelSpec) -> RunResult:
+        # a run always ends inside a stay: an exit decided on its last draw
+        # would govern a draw that never happens, so that stay is censored
+        *done, (regime, steps, disp, _) = self.stays
+        records = tuple(SojournRecord(*stay) for stay in done) + (SojournRecord(regime, steps, disp, None, True),)
         win = self.window.copy()
-        # the run always ends inside a sojourn, so the last (censored) record
-        # counts the draws since the most recent switch
         state = WalkState(
             position=self.pos,
             time=self.t,
-            regime=self.cur,
-            consecutive_uses=self.records[-1].steps,
+            regime=regime,
+            consecutive_uses=steps,
             window=win,
             window_sum=float(win.sum()),
         )
@@ -322,15 +417,15 @@ class _Engine:
         )
         incs = None
         if self.keep_increments:
-            incs = np.concatenate(self.increments) if self.increments else np.empty(0)
+            incs = np.concatenate(self.increments)
         return RunResult(
-            spec=self.spec,
+            spec=spec,
             version="delayed" if self.delayed else "instantaneous",
-            steps=self.steps,
+            steps=self.budget,
             final_state=state,
-            records=tuple(self.records),
+            records=records,
             trace=trace,
-            occupancy_steps=self.occupancy,
+            occupancy_steps=np.asarray(self.occupancy, dtype=np.int64),
             increments=incs,
         )
 
@@ -360,8 +455,12 @@ def run(
         extra = np.asarray(list(checkpoint_times), dtype=np.int64)
         ckpts = np.unique(np.concatenate([_default_checkpoints(spec.window, steps), extra]))
         ckpts = ckpts[(ckpts >= 1) & (ckpts <= steps)]
-    eng = _Engine(spec, delayed, steps, rng, ckpts, record_increments)
-    return eng.run()
+    bounds = [tuple(spec.window * r for r in threshold_bounds(spec, i)) for i in range(spec.l + 1)]
+    walk = _Walk(
+        spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts.tolist(), record_increments
+    )
+    walk.walk()
+    return walk.result(spec)
 
 
 def sample_exit(
@@ -383,7 +482,11 @@ def sample_exit(
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or cap < n:
         raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
-    _, direction, steps, disp, _ = _scan_stay(d, _NO_DRAWS, n, n * r_lo, n * r_hi, n, cap, rng)
+    # a one-law ladder: the walk ends when the stay does, so which rule
+    # would refill the window after a switch never matters
+    walk = _Walk((d,), ((n * r_lo, n * r_hi),), n, True, cap, rng, 0)
+    walk.walk()
+    ((_, steps, disp, direction),) = walk.stays
     return SojournRecord(None, steps, disp, direction, direction is None)
 
 

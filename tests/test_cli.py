@@ -35,6 +35,19 @@ L2_DOC = {
     },
 }
 
+# one law of each kind, so that every model float has a place to go wrong
+MIXED_DOC = {
+    "model": {
+        "dists": [
+            {"kind": "rademacher", "p": 0.3},
+            {"kind": "gaussian", "mu": 0.5, "sigma2": 1.0},
+            {"kind": "finite_discrete", "atoms": [0, 1, 2], "weights": [0.25, 0.5, 0.25]},
+        ],
+        "thresholds": [0.0, 0.75],
+        "window": 10,
+    },
+}
+
 EQUAL_MEANS_DOC = {
     "model": {
         "dists": [
@@ -128,6 +141,31 @@ class TestLoadConfig:
         res = runner.invoke(main, ["validate", path])
         assert res.exit_code == 2
         assert f"model.{key} must be an integer, got {value!r}" in res.stderr
+
+    @pytest.mark.parametrize(
+        "dist, key, value, kind",
+        [
+            (0, "p", "0.3", "a number"),
+            (1, "mu", "0.5", "a number"),
+            (1, "sigma2", True, "a number"),
+            (1, "mu", 10**400, "a number"),
+            (2, "atoms", "012", "a list of numbers"),
+            (2, "atoms", [0, 1, False], "a list of numbers"),
+            (2, "weights", [0.25, "0.5", 0.25], "a list of numbers"),
+            (None, "thresholds", ["0.0", 0.75], "a list of numbers"),
+            (None, "thresholds", {"0": 0.0, "1": 0.75}, "a list of numbers"),
+        ],
+    )
+    def test_model_floats_are_not_coerced(self, runner, tmp_path, dist, key, value, kind):
+        assert invoke(runner, ["validate", write_config(tmp_path, MIXED_DOC)]).exit_code == 0
+        where = "model" if dist is None else f"model.dists[{dist}]"
+
+        def breaker(doc):
+            (doc["model"] if dist is None else doc["model"]["dists"][dist])[key] = value
+
+        res = runner.invoke(main, ["validate", write_config(tmp_path, mutate(MIXED_DOC, breaker))])
+        assert res.exit_code == 2
+        assert f"{where}.{key} must be {kind}, got {value!r}" in res.stderr
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

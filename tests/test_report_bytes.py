@@ -54,9 +54,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "simulate": "77c8d65d3d9d71c5fd9106ff0eeb11d500328da4a8f2af3cff364b733bcb51f5",
+    "simulate": "2146d5ef4ac20b6139c5cc18ddb0f82d433086d7de60154a8af008b67943536b",
     "simulate-trace": "93ddd4ecbcb771ad9bc7354b744262234d388d332d7033c82ef32474b5fba67e",
-    "sweep-json": "63bb9aed2d3ce426dc2abe94f578c589ae2ea5d5c54c26271250ea99a867a357",
+    "sweep-json": "6bbcc86f0ffe8693893c6746ca99a453a47b01dc5fa9f935829b4232ca61fe31",
     "exits": "2e2f69f9d12491fdf2676b83c74314b25ba84dc2e81f725ea9598c74a6d737fe",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedRNG, oracle_regime_path, rademacher_script
 from histwalk import simulator
@@ -244,6 +247,112 @@ def test_run_mixed_ladder_drops_carried_variates_of_the_other_kind():
     assert len(upper) > 10_000
     freq = float(np.mean(upper == 0.0))
     assert abs(freq - 0.5) < 5 * math.sqrt(0.25 / len(upper))
+
+
+def block_edges(n, count):
+    """The times at which the walker's first ``count`` blocks end: the N
+    forced draws, then blocks of max(64, 2N) << k capped at the block cap."""
+    edges = [n]
+    for k in range(count - 1):
+        edges.append(edges[-1] + min(max(64, 2 * n) << k, simulator._BLOCK_CAP))
+    return edges
+
+
+def stays_of(regimes):
+    """(regime, steps, exit direction, censored) of each stay in a regime path."""
+    stays = [(r, len(list(g))) for r, g in itertools.groupby(regimes)]
+    out = [(r, k, "up" if nxt > r else "down", False) for (r, k), (nxt, _) in zip(stays, stays[1:])]
+    return out + [(*stays[-1], None, True)]
+
+
+def edge_ladder(kind, gap, n, i0):
+    """Two laws about a threshold; ``gap`` sets how far apart their means are."""
+    if kind == "gaussian":
+        dists, r = (Gaussian(-gap, 1.0), Gaussian(gap, 1.0)), 0.0
+    elif kind == "rademacher":
+        dists, r = (Rademacher(0.5 - gap / 2), Rademacher(0.5 + gap / 2)), 0.0
+    else:
+        dists, r = LADDERS["integer-atoms"].dists, 1.0
+    return ModelSpec(dists=dists, thresholds=(r,), window=n, initial_regime=i0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "rademacher", "integer-atoms"]),
+    version=st.sampled_from(["delayed", "instantaneous"]),
+    n=st.integers(min_value=1, max_value=300),
+    gap=st.floats(min_value=0.0, max_value=0.8),
+    i0=st.integers(min_value=0, max_value=1),
+    edge=st.integers(min_value=0, max_value=4),
+    offset=st.integers(min_value=-1, max_value=1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_run_is_the_reference_at_block_edges(kind, version, n, gap, i0, edge, offset, seed):
+    # horizons just before, at and after a block's end, where refills and
+    # instantaneous re-entries straddle two blocks
+    spec = edge_ladder(kind, gap, n, i0)
+    steps = max(n, block_edges(n, edge + 1)[edge] + offset)
+    res = run(spec, version, steps, AnyRng(seed), record_increments=True)
+    incs, regimes = reference_path(spec, version, steps, AnyRng(seed))
+    assert np.array_equal(res.increments, incs)
+    assert regime_path(res) == regimes
+    assert [(r.regime, r.steps, r.exit_direction, r.censored) for r in res.records] == stays_of(regimes)
+
+
+@pytest.mark.parametrize("version", ["delayed", "instantaneous"])
+@pytest.mark.parametrize("ladder", ["gaussian-l1", "integer-atoms"])
+def test_run_is_the_reference_in_blocks_at_the_cap(ladder, version):
+    # blocks at the cap write into buffers kept for the whole walk: two full
+    # blocks there and part of a third, with switches throughout
+    spec = LADDERS[ladder]
+    steps = block_edges(spec.window, 11)[10] + 1000
+    assert steps - block_edges(spec.window, 9)[8] > 2 * simulator._BLOCK_CAP
+    res = run(spec, version, steps, AnyRng(5), record_increments=True)
+    incs, regimes = reference_path(spec, version, steps, AnyRng(5))
+    assert np.array_equal(res.increments, incs)
+    assert regime_path(res) == regimes
+    assert np.array_equal(res.final_state.window, incs[-spec.window:])
+
+
+@pytest.mark.parametrize("version", ["delayed", "instantaneous"])
+def test_run_trace_and_final_window_are_read_off_the_increments(version):
+    # a checkpoint at every time puts some inside every delayed refill and
+    # every instantaneous straddle (the N-1 windows after a stay re-enters a
+    # regime that already drew in the same block); the drift keeps positions
+    # and window averages far from 0, so relative errors are meaningful
+    n, steps = 10, 3000
+    spec = ModelSpec(dists=(Gaussian(1.0, 1.0), Gaussian(2.0, 1.0)), thresholds=(1.5,), window=n, initial_regime=0)
+    res = run(spec, version, steps, AnyRng(4), checkpoint_times=range(1, steps + 1), record_increments=True)
+    incs, path = res.increments, regime_path(res)
+    starts = np.cumsum([rec.steps for rec in res.records])[:-1]
+    edges = block_edges(n, 8)
+    reentries = [s for s in starts if path[s] in path[max(e for e in edges if e <= s):s]]
+    assert len(starts) > 20 and reentries
+    tr = res.trace
+    assert np.array_equal(tr.times, np.arange(1, steps + 1))
+    assert tr.regimes.tolist() == path
+    np.testing.assert_allclose(tr.positions, np.cumsum(incs), rtol=1e-12, atol=0)
+    assert np.isnan(tr.window_avgs[:n - 1]).all()
+    sums = np.lib.stride_tricks.sliding_window_view(incs, n).sum(axis=1)
+    np.testing.assert_allclose(tr.window_avgs[n - 1:], sums / n, rtol=1e-12, atol=0)
+    assert np.array_equal(res.final_state.window, incs[-n:])
+
+
+def test_run_memory_is_a_few_blocks():
+    # the walker holds a few arrays of one block (at most 2^14 draws), not
+    # chunks of 2^17 several times over
+    spec = ModelSpec(
+        dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0), Gaussian(2.0, 1.0)),
+        thresholds=(0.4, 1.3), window=40, initial_regime=0,
+    )
+    run(spec, "instantaneous", 100_000, AnyRng(0))  # lazy imports are not the walker's memory
+    tracemalloc.start()
+    try:
+        run(spec, "instantaneous", 2_000_000, AnyRng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
