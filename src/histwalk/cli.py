@@ -197,15 +197,7 @@ def _guarded(fn):
 def _require_valid(spec: ModelSpec) -> None:
     report = validate_model(spec)
     if not report.passed:
-        failed = [
-            name
-            for name, ok in (
-                ("mean_ordering", report.mean_ordering),
-                ("tail_support", report.tail_support),
-                ("light_tails", report.light_tails),
-            )
-            if not ok
-        ]
+        failed = [name for name in ("mean_ordering", "tail_support", "light_tails") if not getattr(report, name)]
         for line in report.details:
             click.echo(f"warning: {line}", err=True)
         _fail(1, "model validation failed: " + ", ".join(failed))
@@ -240,6 +232,13 @@ def _pick_dist(spec: ModelSpec, index: int):
     return spec.dists[index]
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        _fail(2, f"{name} must be finite, got {value}")
+    return value
+
+
 def _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi):
     """What the single-law grid commands share: the checked model and run
     section, the law picked by --dist, the grid, the seed, and thresholds
@@ -252,12 +251,9 @@ def _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi):
     bounds = []
     for name, flag, default in zip(("r_lo", "r_hi"), (r_lo, r_hi), threshold_bounds(spec, dist_index)):
         given = _resolve(name, flag, run_cfg)
-        value = float(default if given is None else given)
-        if not np.isfinite(value):
-            if given is None:
-                _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
-            _fail(2, f"{name} must be finite, got {value}")
-        bounds.append(value)
+        if given is None and not np.isfinite(default):
+            _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
+        bounds.append(_finite(name, default if given is None else given))
     return run_cfg, d, grid, seed, bounds[0], bounds[1]
 
 
@@ -340,7 +336,7 @@ def cmd_validate(config):
     """Check mean ordering, threshold reachability and tail lightness."""
     spec, _ = load_config(config)
     report = validate_model(spec)
-    click.echo(_dump_json(report.to_dict()), nl=False)
+    click.echo(_dump_json(asdict(report)), nl=False)
     if not report.passed:
         raise SystemExit(1)
 
@@ -356,7 +352,7 @@ def cmd_predict(config, output):
     report = predict_limiting_speed(spec)
     for warning in report.warnings:
         click.echo(f"warning: {warning}", err=True)
-    _emit(_dump_json(report.to_dict()), output, [f"predicted_speed={report.predicted_speed}"])
+    _emit(_dump_json(asdict(report)), output, [f"predicted_speed={report.predicted_speed}"])
 
 
 @main.command(name="simulate")
@@ -403,11 +399,8 @@ def _write_trace(spec, version, steps, seed, path):
 
 def _sweep_csv(sw) -> str:
     lines = ["N,est_speed,stderr,predicted_speed,gap"]
-    for row in sw.rows():
-        lines.append(
-            f"{row['N']},{row['est_speed']!r},{row['stderr']!r},"
-            f"{row['predicted_speed']!r},{row['gap']!r}"
-        )
+    for n, rep, gap in zip(sw.n_grid, sw.reports, sw.gaps):
+        lines.append(f"{n},{rep.est_speed!r},{rep.stderr!r},{sw.predicted_speed!r},{gap!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -437,8 +430,8 @@ def cmd_sweep(config, version, n_grid, replicas, seed, steps, output, json_path)
     if json_path:
         _write_atomic(json_path, _dump_json(asdict(sw)))
     summaries = [
-        f"N={row['N']} est_speed={row['est_speed']!r} stderr={row['stderr']!r} gap={row['gap']!r}"
-        for row in sw.rows()
+        f"N={n} est_speed={rep.est_speed!r} stderr={rep.stderr!r} gap={gap!r}"
+        for n, rep, gap in zip(sw.n_grid, sw.reports, sw.gaps)
     ]
     summaries.append(
         f"predicted_speed={sw.predicted_speed!r} final_gap={sw.final_gap!r} "
@@ -530,14 +523,14 @@ def cmd_persistence(config, dist_index, r_level, horizon, samples, seed, output)
     spec, run_cfg = load_config(config)
     _require_valid(spec)
     d = _pick_dist(spec, dist_index)
-    r_level = _resolve("r", r_level, run_cfg, required=True)
+    r_level = _finite("r", _resolve("r", r_level, run_cfg, required=True))
     horizon = int(_resolve("horizon", horizon, run_cfg, required=True))
     samples = int(_resolve("samples", samples, run_cfg, default=100_000))
     seed = int(_resolve("seed", seed, run_cfg, required=True))
-    estimate = estimate_persistence_constant(d, float(r_level), horizon, samples, seed)
+    estimate = estimate_persistence_constant(d, r_level, horizon, samples, seed)
     doc = {
         "dist": dist_index,
-        "r": float(r_level),
+        "r": r_level,
         "horizon": horizon,
         "samples": samples,
         "master_seed": seed,

@@ -69,7 +69,8 @@ class FiniteDiscrete:
 
     atoms: tuple[float, ...]
     weights: tuple[float, ...]
-    # cached cumulative weights for inverse-CDF sampling
+    # cached atom array and cumulative weights for inverse-CDF sampling
+    _atoms: np.ndarray = field(init=False, repr=False, compare=False)
     _cumw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,12 +82,13 @@ class FiniteDiscrete:
             raise InvalidInputError("atoms must be finite")
         if any(b <= a for a, b in zip(atoms, atoms[1:])):
             raise InvalidInputError("atoms must be strictly increasing")
-        if any(w <= 0.0 for w in weights):
+        if any(not w > 0.0 for w in weights):  # NaN fails too
             raise InvalidInputError("weights must be strictly positive")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise InvalidInputError(f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_atoms", np.asarray(atoms))
         object.__setattr__(self, "_cumw", np.cumsum(np.asarray(weights)))
 
 
@@ -177,7 +179,7 @@ def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
     if isinstance(d, Rademacher):
         return np.where(z < 1.0 - d.p, -1.0, 1.0)
     idx = np.minimum(np.searchsorted(d._cumw, z, side="right"), len(d.atoms) - 1)
-    return np.asarray(d.atoms)[idx]
+    return d._atoms[idx]
 
 
 def sample(d: IncrementDistribution, rng) -> float:

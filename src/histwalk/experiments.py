@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import IncrementDistribution, mean, sample_n
 from .errors import DegenerateEstimateError, ExcessCensoringError, InvalidInputError
-from .fitting import SlopeFit, fit_log_decay, fit_log_growth
+from .fitting import SlopeFit, binomial_se, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
 from .theory import ModelSpec, predict_limiting_speed, sojourn_exponents
@@ -233,18 +233,6 @@ class SweepResult:
     final_gap: float
     monotone_within_noise: bool
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "N": n,
-                "est_speed": rep.est_speed,
-                "stderr": rep.stderr,
-                "predicted_speed": self.predicted_speed,
-                "gap": gap,
-            }
-            for n, rep, gap in zip(self.n_grid, self.reports, self.gaps)
-        ]
-
 
 def sweep_window(
     spec: ModelSpec,
@@ -323,10 +311,6 @@ def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     return grid, samples_per_n, master_seed, i_lo, i_hi
 
 
-def _binomial_se(p: np.ndarray, m: int) -> np.ndarray:
-    return np.sqrt(p * (1.0 - p) / m)
-
-
 @dataclass(frozen=True)
 class BlockExponentReport:
     """Decay rates of the three crossing outcomes of a fresh increment block.
@@ -369,7 +353,7 @@ def fit_block_exponents(
 
     def probs(out: BlockOutcome) -> tuple[np.ndarray, np.ndarray]:
         p = np.asarray(counts[out], dtype=float) / samples_per_n
-        return p, _binomial_se(p, samples_per_n)
+        return p, binomial_se(p, samples_per_n)
 
     p_up, se_up = probs(BlockOutcome.UP)
     p_dn, se_dn = probs(BlockOutcome.DOWN)
@@ -464,7 +448,7 @@ def fit_exit_statistics(
         m = len(stays)
         stays_arr = np.asarray(stays, dtype=float)
         p_down[k] = downs / m
-        se_down[k] = math.sqrt(p_down[k] * (1.0 - p_down[k]) / m)
+        se_down[k] = binomial_se(p_down[k], m)
         mean_stay[k] = stays_arr.mean()
         se_stay[k] = float(np.std(stays_arr, ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEstimateError
 
-__all__ = ["SlopeFit", "fit_log_decay", "fit_log_growth"]
+__all__ = ["SlopeFit", "binomial_se", "fit_log_decay", "fit_log_growth"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class SlopeFit:
     intercept: float
     dropped_ns: tuple[int, ...] = ()
     target: float | None = None
+
+
+def binomial_se(p, m):
+    """Standard error of a proportion ``p`` (a float or an array) estimated
+    from ``m`` independent trials."""
+    return np.sqrt(p * (1.0 - p) / m)
 
 
 def _fit(ns, values, stderrs, sign: int, target: float | None) -> SlopeFit:

@@ -25,7 +25,7 @@ from .distributions import (
     tail_prob,
 )
 from .errors import InvalidInputError, NonConvergenceError
-from .fitting import SlopeFit, fit_log_decay
+from .fitting import SlopeFit, binomial_se, fit_log_decay
 
 __all__ = ["RateFunction", "verify_cramer_slope"]
 
@@ -161,6 +161,6 @@ def verify_cramer_slope(
         hits = int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
         p_hat = hits / samples_per_n
         probs.append(p_hat)
-        ses.append(math.sqrt(p_hat * (1.0 - p_hat) / samples_per_n))
+        ses.append(binomial_se(p_hat, samples_per_n))
     target = RateFunction(d).evaluate(r)
     return fit_log_decay(n_grid, probs, ses, target=target)

@@ -42,6 +42,11 @@ leaves the rest of its last block unused, so the blocks it draws set where
 the next stay's draws begin. The 2^14 cap first shortens a block 16k to 33k
 draws after the refill (at once when 2N > 2^14); stays longer than that read
 different blocks than under the former 2^17 cap.
+
+Known limit: each lane copies and sums the whole carried window of N
+increments, so above N = 2^14 a block of at most 2^14 draws also pays for N,
+and the cost per step grows with N / 2^14. No shipped config uses such
+windows.
 """
 
 from __future__ import annotations

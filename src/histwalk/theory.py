@@ -19,7 +19,7 @@ All exponents are exact functions of the model (no Monte Carlo here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .ratefn import RateFunction
 __all__ = [
     "ModelSpec",
     "ValidationReport",
+    "RegimeExponents",
     "TheoryReport",
     "validate",
     "threshold_bounds",
@@ -110,19 +111,10 @@ class ValidationReport:
     tail_support: bool
     light_tails: bool
     details: tuple[str, ...] = ()
+    passed: bool = field(init=False)  # all three checks hold; derived, never given
 
-    @property
-    def passed(self) -> bool:
-        return self.mean_ordering and self.tail_support and self.light_tails
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mean_ordering": self.mean_ordering,
-            "tail_support": self.tail_support,
-            "light_tails": self.light_tails,
-            "details": list(self.details),
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.mean_ordering and self.tail_support and self.light_tails)
 
 
 def validate(spec: ModelSpec) -> ValidationReport:
@@ -267,38 +259,27 @@ def speed_formula(nu, mean_sojourn_steps, mean_displacements) -> float:
 
 
 @dataclass(frozen=True)
+class RegimeExponents:
+    """One regime's exponents: its up/down moves (None where that direction
+    does not exist), its sojourn growth and its stationary weight's growth."""
+
+    up_exp: float | None
+    down_exp: float | None
+    sojourn_exp: float
+    nu_exp: float
+
+
+@dataclass(frozen=True)
 class TheoryReport:
     """Everything the exponent calculus says about one model."""
 
     lambdas: tuple[float, ...]
-    argmax_set: tuple[int, ...]
+    argmax: tuple[int, ...]
     predicted_speed: float | None
     regime_means: tuple[float, ...]
-    up_exponents: tuple
-    down_exponents: tuple
-    sojourn_exps: tuple[float, ...]
-    invariant_exps: tuple[float, ...]
+    per_regime: tuple[RegimeExponents, ...]
     tie_tol: float
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        per_regime = []
-        for i in range(len(self.lambdas)):
-            per_regime.append({
-                "up_exp": self.up_exponents[i],
-                "down_exp": self.down_exponents[i],
-                "sojourn_exp": self.sojourn_exps[i],
-                "nu_exp": self.invariant_exps[i],
-            })
-        return {
-            "lambdas": list(self.lambdas),
-            "argmax": list(self.argmax_set),
-            "predicted_speed": self.predicted_speed,
-            "regime_means": list(self.regime_means),
-            "per_regime": per_regime,
-            "tie_tol": self.tie_tol,
-            "warnings": list(self.warnings),
-        }
 
 
 def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryReport:
@@ -324,15 +305,16 @@ def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryRepo
         warnings.append(
             f"dominance exponents tie within {tie_tol} between regimes {list(argmax)}; no speed predicted"
         )
+    per_regime = tuple(
+        RegimeExponents(*exps)
+        for exps in zip(ups, downs, sojourn_exponents(spec), invariant_exponents(spec))
+    )
     return TheoryReport(
         lambdas=lam,
-        argmax_set=argmax,
+        argmax=argmax,
         predicted_speed=speed,
         regime_means=means,
-        up_exponents=ups,
-        down_exponents=downs,
-        sojourn_exps=sojourn_exponents(spec),
-        invariant_exps=invariant_exponents(spec),
+        per_regime=per_regime,
         tie_tol=tie_tol,
         warnings=tuple(warnings),
     )

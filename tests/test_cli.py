@@ -167,6 +167,13 @@ class TestLoadConfig:
         assert res.exit_code == 2
         assert f"{where}.{key} must be {kind}, got {value!r}" in res.stderr
 
+    def test_nan_weight_is_a_config_error(self, runner, tmp_path):
+        # json.load reads the NaN literal that json.dumps writes
+        doc = mutate(MIXED_DOC, lambda d: d["model"]["dists"][2].update(weights=[float("nan"), 0.5, 0.25]))
+        res = runner.invoke(main, ["validate", write_config(tmp_path, doc)])
+        assert res.exit_code == 2
+        assert "model.dists[2]: weights must be strictly positive" in res.stderr
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
@@ -481,6 +488,18 @@ class TestPersistence:
              "--r", "1.5", "--horizon", "100", "--samples", "1000", "--seed", "5"],
         )
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("level", [float("-inf"), float("nan")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_level_is_usage_error(self, runner, tmp_path, source, level):
+        args = ["--horizon", "100", "--samples", "1000", "--seed", "5"]
+        if source == "flag":
+            path, args = write_config(tmp_path, L1_DOC), args + ["--r", str(level)]
+        else:
+            path = write_config(tmp_path, mutate(L1_DOC, lambda d: d["run"].update(r=level)))
+        res = invoke(runner, ["persistence", path, "--dist", "1", *args])
+        assert res.exit_code == 2
+        assert f"r must be finite, got {level}" in res.stderr
 
 
 class TestOutputHygiene:

@@ -59,6 +59,8 @@ def test_mean_hand_values():
     lambda: FiniteDiscrete((0.0, 1.0), (0.5, 0.6)),
     lambda: FiniteDiscrete((0.0, 1.0), (-0.1, 1.1)),
     lambda: FiniteDiscrete((), ()),
+    lambda: FiniteDiscrete((-1.0, 1.0), (math.nan, 0.5)),
+    lambda: FiniteDiscrete((-1.0, 1.0), (0.5, math.nan)),
 ])
 def test_invalid_construction_rejected(bad):
     with pytest.raises(InvalidInputError):

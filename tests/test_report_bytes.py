@@ -3,7 +3,9 @@
 Acceptance criterion 10 only compares reruns of the same code. These digests
 also catch a refactor that silently changes how the random stream is consumed
 or how a report is serialised. A deliberate change of either updates the
-digests here and says so in CHANGES.md.
+digests here and says so in CHANGES.md. A case whose arguments name no
+``OUT`` file pins its stdout instead; every JSON report must also be strict
+JSON, with no NaN or Infinity.
 """
 
 import hashlib
@@ -39,6 +41,14 @@ LATTICE_LADDER = {
     },
     "run": {"version": "instantaneous", "seed": 12},
 }
+# means 0.1 and 1.45 do not interlace threshold 2.5, which no atom reaches
+FAILING_LADDER = {
+    "model": {
+        "dists": [_lattice([0.3, 0.4, 0.2, 0.1]), _lattice([0.05, 0.1, 0.2, 0.65])],
+        "thresholds": [2.5],
+        "window": 5,
+    },
+}
 
 # name -> (config, CLI arguments after the config path; OUT is the report file)
 CASES = {
@@ -51,7 +61,16 @@ CASES = {
     "blocks": (TWO_GAUSSIANS, ["blocks", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6",
                                "--n-grid", "4,6,8", "--samples", "3000", "--output", "OUT"]),
     "predict": (LATTICE_LADDER, ["predict", "--output", "OUT"]),
+    "validate": (LATTICE_LADDER, ["validate"]),
+    "validate-failing": (FAILING_LADDER, ["validate"]),
+    "sweep-csv": (TWO_GAUSSIANS, ["sweep", "--n-grid", "3,5", "--steps", "4000", "--replicas", "2",
+                                  "--output", "OUT"]),
+    "ratefn": (LATTICE_LADDER, ["ratefn", "--dist", "1", "--r-grid", "-1.25:2.25:0.25", "--output", "OUT"]),
+    "persistence": (TWO_GAUSSIANS, ["persistence", "--dist", "1", "--r", "0.2", "--horizon", "60",
+                                    "--samples", "2000", "--output", "OUT"]),
 }
+EXIT_CODES = {"validate-failing": 1}  # every other case exits 0
+CSV_CASES = {"simulate-trace", "sweep-csv", "ratefn"}
 
 DIGESTS = {
     "simulate": "2146d5ef4ac20b6139c5cc18ddb0f82d433086d7de60154a8af008b67943536b",
@@ -60,6 +79,11 @@ DIGESTS = {
     "exits": "2e2f69f9d12491fdf2676b83c74314b25ba84dc2e81f725ea9598c74a6d737fe",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
+    "validate": "bb78bbc66b028f43ae11335e5871e24cffad78c8b0ebbed59af4d9420f6fb212",
+    "validate-failing": "8f96c7aac0b6b24ae28c2598cfe7660df7bd43ac1df1e00174865d9c43be2c60",
+    "sweep-csv": "6eef79d84160e5b32218c5d864df514408589a22e5022f3e8342b88270d0be52",
+    "ratefn": "959bf519101959d513a92d2d2412c21e4b6895e3ee31fa5e218570f5bc141615",
+    "persistence": "63a75470f9e4e87500bb42e040da0babecd90143c1317c0c61c77f7588e62a1f",
 }
 
 
@@ -75,10 +99,21 @@ def cli_argv(name, tmp_path) -> list[str]:
 
 def report_bytes(name, tmp_path) -> bytes:
     res = CliRunner().invoke(main, cli_argv(name, tmp_path), catch_exceptions=False)
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == EXIT_CODES.get(name, 0), res.output
+    if "OUT" not in CASES[name][1]:
+        return res.stdout_bytes
     return (tmp_path / "report").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_pinned_digest(name, tmp_path):
     assert hashlib.sha256(report_bytes(name, tmp_path)).hexdigest() == DIGESTS[name]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - CSV_CASES))
+def test_json_reports_are_strict_json(name, tmp_path):
+    json.loads(report_bytes(name, tmp_path), parse_constant=_reject_constant)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_exponent_identity_random_gaussian_ladders(gaps, frac):
 
 def test_predict_l1_speed():
     rep = predict_limiting_speed(l1_gaussian(0.4))
-    assert rep.argmax_set == (1,)
+    assert rep.argmax == (1,)
     assert rep.predicted_speed == 1.0
     assert rep.lambdas == pytest.approx((0.08, 0.18), abs=1e-12)
 
@@ -200,19 +201,19 @@ def test_predict_l1_speed():
 def test_predict_l1_dichotomy_mirror():
     rep = predict_limiting_speed(l1_gaussian(0.9))
     # I_0(0.9) = 0.405 > I_1(0.9) = 0.005, so the slow law wins
-    assert rep.argmax_set == (0,)
+    assert rep.argmax == (0,)
     assert rep.predicted_speed == 0.0
 
 
 def test_predict_l2_speed():
     rep = predict_limiting_speed(l2_gaussian((0.4, 1.3)))
-    assert rep.argmax_set == (2,)
+    assert rep.argmax == (2,)
     assert rep.predicted_speed == 2.0
 
 
 def test_predict_tie_reported_not_guessed():
     rep = predict_limiting_speed(l2_gaussian((0.4, 1.5)))
-    assert rep.argmax_set == (1, 2)
+    assert rep.argmax == (1, 2)
     assert rep.predicted_speed is None
     assert any("tie" in w.lower() for w in rep.warnings)
 
@@ -232,7 +233,7 @@ def test_predict_deterministic_and_json_ready():
     r1 = predict_limiting_speed(l2_gaussian((0.4, 1.3)))
     r2 = predict_limiting_speed(l2_gaussian((0.4, 1.3)))
     assert r1 == r2
-    blob = json.dumps(r1.to_dict(), sort_keys=True)
+    blob = json.dumps(asdict(r1), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["argmax"] == [2]
     assert parsed["predicted_speed"] == 2.0
@@ -245,9 +246,9 @@ def test_predict_deterministic_and_json_ready():
 def test_tie_tolerance_is_respected():
     # nudge one lambda by less than the tolerance: still a tie
     rep = predict_limiting_speed(l2_gaussian((0.4, 1.5)), tie_tol=1e-9)
-    assert len(rep.argmax_set) == 2
+    assert len(rep.argmax) == 2
     rep2 = predict_limiting_speed(l2_gaussian((0.4, 1.5 + 1e-3)), tie_tol=1e-9)
-    assert len(rep2.argmax_set) == 1
+    assert len(rep2.argmax) == 1
 
 
 # ------------------------------------------------- invariant distribution
