@@ -45,7 +45,7 @@ from .theory import validate as validate_model
 _MODEL_KEYS = {"dists", "thresholds", "window", "initial_regime"}
 _RUN_KEYS = {
     "version", "steps", "replicas", "seed", "n_grid", "samples", "cap",
-    "horizon", "r", "dist", "r_lo", "r_hi", "output",
+    "horizon", "r", "r_lo", "r_hi",
 }
 _DIST_FIELDS = {
     "gaussian": {"mu", "sigma2"},
@@ -53,7 +53,7 @@ _DIST_FIELDS = {
     "finite_discrete": {"atoms", "weights"},
 }
 _DIST_LAWS = {"gaussian": Gaussian, "rademacher": Rademacher, "finite_discrete": FiniteDiscrete}
-_INT_RUN_KEYS = ("steps", "replicas", "seed", "samples", "cap", "horizon", "dist")
+_INT_RUN_KEYS = ("steps", "replicas", "seed", "samples", "cap", "horizon")
 _FLOAT_RUN_KEYS = ("r", "r_lo", "r_hi")
 
 
@@ -125,9 +125,6 @@ def _check_run_section(run_cfg: dict) -> None:
     if grid is not None:
         if not isinstance(grid, list) or not all(_is_int(n) for n in grid):
             raise ConfigError(f"run.n_grid must be a list of integers, got {grid!r}")
-    output = run_cfg.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"run.output must be a string, got {output!r}")
 
 
 def load_config(path: str) -> tuple[ModelSpec, dict]:
@@ -184,11 +181,13 @@ def _guarded(fn):
             fn(*args, **kwargs)
         except ConfigError as err:
             _fail(2, f"config error: {err}")
+        except InvalidInputError as err:
+            _fail(2, f"usage error: {err}")
         except OSError as err:
             _fail(2, f"i/o error: {err}")
         except (NonConvergenceError, ExcessCensoringError) as err:
             _fail(3, f"budget error: {err}")
-        except (AssumptionError, InvalidChainError, DegenerateEstimateError, InvalidInputError) as err:
+        except (AssumptionError, InvalidChainError, DegenerateEstimateError) as err:
             _fail(1, f"domain error: {err}")
 
     return wrapper
@@ -423,8 +422,7 @@ def cmd_sweep(config, version, n_grid, replicas, seed, steps, output, json_path)
     seed = int(_resolve("seed", seed, run_cfg, required=True))
     steps = _resolve("steps", steps, run_cfg)
     _require_valid(spec)
-    rule = None if steps is None else (lambda n: int(steps))
-    sw = sweep_window(spec, version, grid, replicas, seed, steps_rule=rule)
+    sw = sweep_window(spec, version, grid, replicas, seed, steps=steps)
     if not sw.monotone_within_noise:
         click.echo("warning: gaps to the predicted speed are not monotone within noise", err=True)
     if json_path:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, sample_n
-from .errors import DegenerateEstimateError, ExcessCensoringError, InvalidInputError
-from .fitting import SlopeFit, binomial_se, fit_log_decay, fit_log_growth
+from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError
+from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
 from .theory import ModelSpec, predict_limiting_speed, sojourn_exponents
@@ -43,15 +43,6 @@ def _check_seed(master_seed: int) -> int:
     if master_seed < 0:
         raise InvalidInputError(f"master_seed must be a nonnegative integer, got {master_seed}")
     return int(master_seed)
-
-
-def _check_grid(n_grid, minimum: int = 3) -> tuple[int, ...]:
-    grid = tuple(int(n) for n in n_grid)
-    if len(grid) < minimum:
-        raise InvalidInputError(f"need at least {minimum} grid points, got {len(grid)}")
-    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError(f"grid must be strictly increasing positive integers, got {grid}")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,8 @@ def estimate_speed(
 
     for child in np.random.SeedSequence(master_seed).spawn(replicas):
         res = run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
-        total_disp += res.final_state.position
-        at = np.searchsorted(res.trace.times, bounds)
-        pos = res.trace.positions[at]
-        batch_means.append(np.diff(pos, prepend=0.0) / np.diff(bounds, prepend=0))
+        total_disp += res.position
+        batch_means.append(np.diff(res.trace.positions, prepend=0.0) / np.diff(bounds, prepend=0))
         occupancy += res.occupancy_steps
         for rec in res.records:
             visits[rec.regime] += 1
@@ -240,33 +229,34 @@ def sweep_window(
     n_grid,
     replicas: int,
     master_seed: int,
-    steps_rule=None,
+    steps: int | None = None,
 ) -> SweepResult:
     """Re-estimate the speed over a grid of window sizes and compare each
     estimate to the predicted limit.
 
-    ``spec.window`` is ignored; each grid point replaces it. The prediction
-    must be untied, otherwise there is no single limit to converge to.
+    ``spec.window`` is ignored; each grid point replaces it. Each point runs
+    ``steps`` steps per replica, or ``default_steps_rule``'s budget when
+    ``steps`` is None. The prediction must be untied, otherwise there is no
+    single limit to converge to.
     """
 
-    grid = _check_grid(n_grid, minimum=1)
+    grid = check_grid(n_grid, minimum=1)
     master_seed = _check_seed(master_seed)
     theory = predict_limiting_speed(spec)
     if theory.predicted_speed is None:
-        raise InvalidInputError(
+        raise AssumptionError(
             "predicted speed is tied between regimes; sweep verdict is undefined"
         )
-    if steps_rule is None:
-        steps_rule = default_steps_rule(spec)
+    if steps is None:
+        steps_used = tuple(map(default_steps_rule(spec), grid))
+    else:
+        steps_used = (int(steps),) * len(grid)
 
     seeds = np.random.SeedSequence(master_seed).generate_state(len(grid), dtype=np.uint64)
     reports = []
-    steps_used = []
-    for n, seed in zip(grid, seeds):
-        steps = int(steps_rule(n))
-        steps_used.append(steps)
+    for n, steps_n, seed in zip(grid, steps_used, seeds):
         spec_n = dataclasses.replace(spec, window=n)
-        reports.append(estimate_speed(spec_n, version, steps, replicas, int(seed)))
+        reports.append(estimate_speed(spec_n, version, steps_n, replicas, int(seed)))
 
     gaps = [abs(rep.est_speed - theory.predicted_speed) for rep in reports]
     monotone = True
@@ -280,7 +270,7 @@ def sweep_window(
         replicas=int(replicas),
         master_seed=master_seed,
         predicted_speed=theory.predicted_speed,
-        steps_used=tuple(steps_used),
+        steps_used=steps_used,
         reports=tuple(reports),
         gaps=tuple(gaps),
         final_gap=gaps[-1],
@@ -296,10 +286,8 @@ def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    grid = _check_grid(n_grid)
-    samples_per_n = int(samples_per_n)
-    if samples_per_n < 1:
-        raise InvalidInputError("samples_per_n must be positive")
+    grid = check_grid(n_grid)
+    samples_per_n = check_samples(samples_per_n)
     master_seed = _check_seed(master_seed)
     rate = RateFunction(d)
     i_lo = rate.evaluate(r_lo)
@@ -508,7 +496,7 @@ def estimate_persistence_constant(
     """
 
     if not r < mean(d):
-        raise InvalidInputError(f"need r strictly below the mean {mean(d)}, got r={r}")
+        raise AssumptionError(f"need r strictly below the mean {mean(d)}, got r={r}")
     horizon = int(horizon)
     samples = int(samples)
     if horizon < 1 or samples < 1:

@@ -25,12 +25,15 @@ from .distributions import (
     tail_prob,
 )
 from .errors import InvalidInputError, NonConvergenceError
-from .fitting import SlopeFit, binomial_se, fit_log_decay
+from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay
 
 __all__ = ["RateFunction", "verify_cramer_slope"]
 
 # residual tolerance scale for the stationarity condition K'(t) = r
 _TOL_SCALE = 1e-10
+
+# iteration budget of one Newton solve, bracket expansion included
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,11 @@ class RateFunction:
     Gaussian laws use the exact closed form (r - mu)^2 / (2 sigma2). Discrete
     laws solve the stationarity condition K'(t*) = r with a bracketed Newton
     iteration (bisection fallback), to residual 1e-10 * max(1, |r|) within
-    ``max_iter`` steps. Values at the support endpoints are the exact
+    ``_MAX_ITER`` steps. Values at the support endpoints are the exact
     -log(atom weight); outside the support the transform is +inf.
     """
 
     dist: IncrementDistribution
-    max_iter: int = 200
-
-    def domain_endpoints(self) -> tuple[float, float]:
-        return support_bounds(self.dist)
 
     def evaluate(self, r: float) -> float:
         return self.solve(r)[0]
@@ -80,7 +79,7 @@ class RateFunction:
     def _newton(self, r: float) -> float:
         d = self.dist
         tol = _TOL_SCALE * max(1.0, abs(r))
-        budget = self.max_iter
+        budget = _MAX_ITER
         lam = 0.0
         d1, _ = cgf_derivatives(d, lam)
         if abs(d1 - r) <= tol:
@@ -114,7 +113,7 @@ class RateFunction:
             cand = lam - step
             lam = cand if blo < cand < bhi else 0.5 * (blo + bhi)
         raise NonConvergenceError(
-            f"Newton solve for K'(t)={r} did not reach |residual|<={tol} in {self.max_iter} iterations"
+            f"Newton solve for K'(t)={r} did not reach |residual|<={tol} in {_MAX_ITER} iterations"
         )
 
 
@@ -142,11 +141,8 @@ def verify_cramer_slope(
     """
     if side not in ("ge", "le"):
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
-    n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise InvalidInputError(f"n_grid must be >= 3 strictly increasing values, got {n_grid}")
-    if samples_per_n < 1:
-        raise InvalidInputError("samples_per_n must be positive")
+    n_grid = check_grid(n_grid)
+    samples_per_n = check_samples(samples_per_n)
     mu = mean(d)
     slo, shi = support_bounds(d)
     if side == "ge" and not (mu < r < shi):

@@ -40,8 +40,7 @@ because that decision would govern a draw that never happens, while
 ``sample_exit`` counts an exit on its cap-th draw. A ``sample_exit`` stay
 leaves the rest of its last block unused, so the blocks it draws set where
 the next stay's draws begin. The 2^14 cap first shortens a block 16k to 33k
-draws after the refill (at once when 2N > 2^14); stays longer than that read
-different blocks than under the former 2^17 cap.
+draws after the refill (at once when 2N > 2^14).
 
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^14 a block of at most 2^14 draws also pays for N,
@@ -129,10 +128,12 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class RunResult:
-    spec: ModelSpec
-    version: str
+    """A finished run: ``position`` is where the walk ended and ``window``
+    holds its last N increments, oldest first."""
+
     steps: int
-    final_state: WalkState
+    position: float
+    window: np.ndarray
     records: tuple[SojournRecord, ...]
     trace: TraceSummary
     occupancy_steps: np.ndarray
@@ -400,20 +401,11 @@ class _Walk:
         self.decide = now + (self.n if self.delayed else 1)
         return 0 <= self.cur < len(self.laws)
 
-    def result(self, spec: ModelSpec) -> RunResult:
+    def result(self) -> RunResult:
         # a run always ends inside a stay: an exit decided on its last draw
         # would govern a draw that never happens, so that stay is censored
         *done, (regime, steps, disp, _) = self.stays
         records = tuple(SojournRecord(*stay) for stay in done) + (SojournRecord(regime, steps, disp, None, True),)
-        win = self.window.copy()
-        state = WalkState(
-            position=self.pos,
-            time=self.t,
-            regime=regime,
-            consecutive_uses=steps,
-            window=win,
-            window_sum=float(win.sum()),
-        )
         trace = TraceSummary(
             times=np.asarray(self.ckpt_times[: self.ckpt_next], dtype=np.int64),
             positions=np.asarray(self.ckpt_pos),
@@ -424,10 +416,9 @@ class _Walk:
         if self.keep_increments:
             incs = np.concatenate(self.increments)
         return RunResult(
-            spec=spec,
-            version="delayed" if self.delayed else "instantaneous",
             steps=self.budget,
-            final_state=state,
+            position=self.pos,
+            window=self.window.copy(),
             records=records,
             trace=trace,
             occupancy_steps=np.asarray(self.occupancy, dtype=np.int64),
@@ -444,11 +435,12 @@ def run(
     checkpoint_times=None,
     record_increments: bool = False,
 ) -> RunResult:
-    """Simulate ``steps`` draws and return records, trace and final state.
+    """Simulate ``steps`` draws and return records, trace, final position
+    and final window.
 
     ``checkpoint_times`` defaults to ~64 geometrically spaced times in
-    [N, steps]; extra times can be supplied (they are merged, deduplicated and
-    clipped).
+    [N, steps]; times given replace that set (they are deduplicated and
+    clipped to [1, steps]).
     """
     delayed = _check_version(version)
     steps = int(steps)
@@ -457,15 +449,14 @@ def run(
     if checkpoint_times is None:
         ckpts = _default_checkpoints(spec.window, steps)
     else:
-        extra = np.asarray(list(checkpoint_times), dtype=np.int64)
-        ckpts = np.unique(np.concatenate([_default_checkpoints(spec.window, steps), extra]))
+        ckpts = np.unique(np.asarray(list(checkpoint_times), dtype=np.int64))
         ckpts = ckpts[(ckpts >= 1) & (ckpts <= steps)]
     bounds = [tuple(spec.window * r for r in threshold_bounds(spec, i)) for i in range(spec.l + 1)]
     walk = _Walk(
         spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts.tolist(), record_increments
     )
     walk.walk()
-    return walk.result(spec)
+    return walk.result()
 
 
 def sample_exit(

@@ -269,6 +269,10 @@ class RegimeExponents:
     nu_exp: float
 
 
+# dominance exponents this close to the largest tie with it
+_TIE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TheoryReport:
     """Everything the exponent calculus says about one model."""
@@ -282,12 +286,13 @@ class TheoryReport:
     warnings: tuple[str, ...] = ()
 
 
-def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryReport:
+def predict_limiting_speed(spec: ModelSpec) -> TheoryReport:
     """Predict the walk's long-run speed from the model alone.
 
     Raises AssumptionError if the model fails validation. When two or more
-    dominance exponents agree within ``tie_tol`` the prediction is withheld
-    (``predicted_speed`` is None) and the tie is reported in ``warnings``.
+    dominance exponents agree within ``_TIE_TOL``, reported as ``tie_tol``,
+    the prediction is withheld (``predicted_speed`` is None) and the tie is
+    reported in ``warnings``.
     """
     report = validate(spec)
     if not report.passed:
@@ -296,14 +301,14 @@ def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryRepo
     ups, downs = transition_exponents(spec)
     warnings: list[str] = []
     top = max(lam)
-    argmax = tuple(i for i, v in enumerate(lam) if top - v <= tie_tol)
+    argmax = tuple(i for i, v in enumerate(lam) if top - v <= _TIE_TOL)
     means = spec.regime_means
     if len(argmax) == 1:
         speed = means[argmax[0]]
     else:
         speed = None
         warnings.append(
-            f"dominance exponents tie within {tie_tol} between regimes {list(argmax)}; no speed predicted"
+            f"dominance exponents tie within {_TIE_TOL} between regimes {list(argmax)}; no speed predicted"
         )
     per_regime = tuple(
         RegimeExponents(*exps)
@@ -315,6 +320,6 @@ def predict_limiting_speed(spec: ModelSpec, tie_tol: float = 1e-9) -> TheoryRepo
         predicted_speed=speed,
         regime_means=means,
         per_regime=per_regime,
-        tie_tol=tie_tol,
+        tie_tol=_TIE_TOL,
         warnings=tuple(warnings),
     )

@@ -167,6 +167,14 @@ class TestLoadConfig:
         assert res.exit_code == 2
         assert f"{where}.{key} must be {kind}, got {value!r}" in res.stderr
 
+    @pytest.mark.parametrize("key, value", [("dist", 1), ("output", "report.json")])
+    def test_keys_no_command_reads_are_rejected(self, runner, tmp_path, key, value):
+        # --dist and --output are flags only; a run key for them would be ignored
+        path = write_config(tmp_path, mutate(L1_DOC, lambda d: d["run"].update({key: value})))
+        res = runner.invoke(main, ["predict", path])
+        assert res.exit_code == 2
+        assert f"unknown keys ['{key}'] in run" in res.stderr
+
     def test_nan_weight_is_a_config_error(self, runner, tmp_path):
         # json.load reads the NaN literal that json.dumps writes
         doc = mutate(MIXED_DOC, lambda d: d["model"]["dists"][2].update(weights=[float("nan"), 0.5, 0.25]))
@@ -521,3 +529,22 @@ class TestOutputHygiene:
         )
         assert res.exit_code == 2
         assert "i/o error" in res.stderr
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--replicas", "0"],
+            ["blocks", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6", "--n-grid", "4,6,8", "--samples", "0"],
+            ["persistence", "--dist", "1", "--r", "0.4", "--horizon", "0"],
+            ["exits", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6", "--n-grid", "4,6,8", "--cap", "5"],
+        ],
+        ids=["negative-seed", "zero-replicas", "zero-samples", "zero-horizon", "cap-below-window"],
+    )
+    def test_bad_argument_value_exits_two(self, runner, tmp_path, args):
+        command, *flags = args
+        res = runner.invoke(main, [command, write_config(tmp_path, L1_DOC), *flags])
+        assert res.exit_code == 2
+        assert "usage error:" in res.stderr

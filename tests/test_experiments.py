@@ -169,7 +169,7 @@ class TestStepsRule:
 
 class TestSweepWindow:
     def test_small_sweep_against_known_limit(self):
-        sw = sweep_window(l1_gaussian(), "delayed", (4, 6, 8), 2, 7, steps_rule=lambda n: 50_000)
+        sw = sweep_window(l1_gaussian(), "delayed", (4, 6, 8), 2, 7, steps=50_000)
         assert sw.predicted_speed == 1.0
         assert sw.n_grid == (4, 6, 8)
         assert sw.steps_used == (50_000,) * 3
@@ -185,12 +185,12 @@ class TestSweepWindow:
         assert len(sw.reports) == len(sw.gaps) == len(sw.n_grid)
 
     def test_both_versions_share_the_predicted_limit(self):
-        a = sweep_window(l1_gaussian(), "delayed", (4,), 2, 3, steps_rule=lambda n: 20_000)
-        b = sweep_window(l1_gaussian(), "instantaneous", (4,), 2, 3, steps_rule=lambda n: 20_000)
+        a = sweep_window(l1_gaussian(), "delayed", (4,), 2, 3, steps=20_000)
+        b = sweep_window(l1_gaussian(), "instantaneous", (4,), 2, 3, steps=20_000)
         assert a.predicted_speed == b.predicted_speed == 1.0
 
     def test_sweep_is_reproducible(self):
-        kw = {"steps_rule": lambda n: 20_000}
+        kw = {"steps": 20_000}
         a = sweep_window(l1_gaussian(), "delayed", (4, 6), 2, 19, **kw)
         b = sweep_window(l1_gaussian(), "delayed", (4, 6), 2, 19, **kw)
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
@@ -202,8 +202,8 @@ class TestSweepWindow:
             window=4,
             initial_regime=0,
         )
-        with pytest.raises(InvalidInputError):
-            sweep_window(spec, "delayed", (4, 6), 2, 0, steps_rule=lambda n: 10_000)
+        with pytest.raises(AssumptionError):
+            sweep_window(spec, "delayed", (4, 6), 2, 0, steps=10_000)
 
     def test_invalid_model_is_rejected(self):
         spec = ModelSpec(
@@ -213,13 +213,13 @@ class TestSweepWindow:
             initial_regime=0,
         )
         with pytest.raises(AssumptionError):
-            sweep_window(spec, "delayed", (4, 6), 2, 0, steps_rule=lambda n: 10_000)
+            sweep_window(spec, "delayed", (4, 6), 2, 0, steps=10_000)
 
     def test_grid_must_increase(self):
         with pytest.raises(InvalidInputError):
-            sweep_window(l1_gaussian(), "delayed", (4, 4), 2, 0, steps_rule=lambda n: 10_000)
+            sweep_window(l1_gaussian(), "delayed", (4, 4), 2, 0, steps=10_000)
         with pytest.raises(InvalidInputError):
-            sweep_window(l1_gaussian(), "delayed", (), 2, 0, steps_rule=lambda n: 10_000)
+            sweep_window(l1_gaussian(), "delayed", (), 2, 0, steps=10_000)
 
 
 def exact_block_probs(p, r_lo, r_hi, n):
@@ -419,8 +419,6 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"r": 0.0, "d": Rademacher(0.5)},
-            {"r": 1.5},
             {"horizon": 0},
             {"samples": 0},
             {"master_seed": -1},
@@ -430,6 +428,13 @@ class TestPersistence:
         args = {"d": Gaussian(1.0, 1.0), "r": 0.0, "horizon": 5, "samples": 10, "master_seed": 0}
         args.update(kwargs)
         with pytest.raises(InvalidInputError):
+            estimate_persistence_constant(**args)
+
+    @pytest.mark.parametrize("kwargs", [{"r": 0.0, "d": Rademacher(0.5)}, {"r": 1.5}])
+    def test_level_at_or_above_the_mean_is_a_domain_error(self, kwargs):
+        args = {"d": Gaussian(1.0, 1.0), "r": 0.0, "horizon": 5, "samples": 10, "master_seed": 0}
+        args.update(kwargs)
+        with pytest.raises(AssumptionError):
             estimate_persistence_constant(**args)
 
     def test_estimates_are_reproducible(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, cgf, mean
+from histwalk import ratefn
+from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, cgf, mean, support_bounds
 from histwalk.errors import DegenerateEstimateError, InvalidInputError, NonConvergenceError
 from histwalk.ratefn import RateFunction, verify_cramer_slope
 
@@ -34,7 +35,7 @@ def test_gaussian_closed_form():
 def test_gaussian_scaled_variance():
     I = RateFunction(Gaussian(-0.5, 4.0))
     assert I.evaluate(1.5) == pytest.approx(2.0 * 2.0 / 8.0, abs=1e-12)
-    assert I.domain_endpoints() == (-math.inf, math.inf)
+    assert support_bounds(I.dist) == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -78,7 +79,7 @@ def test_boundary_atoms_exact_log_weight():
     I = RateFunction(d)
     assert I.evaluate(1.5) == pytest.approx(-math.log(0.3), abs=1e-14)
     assert I.evaluate(-2.0) == pytest.approx(-math.log(0.1), abs=1e-14)
-    assert I.domain_endpoints() == (-2.0, 1.5)
+    assert support_bounds(d) == (-2.0, 1.5)
     _, tilt = I.solve(1.5)
     assert tilt == math.inf
 
@@ -87,12 +88,13 @@ def test_point_mass():
     I = RateFunction(FiniteDiscrete((0.7,), (1.0,)))
     assert I.evaluate(0.7) == 0.0
     assert I.evaluate(0.700001) == math.inf
-    assert I.domain_endpoints() == (0.7, 0.7)
+    assert support_bounds(I.dist) == (0.7, 0.7)
 
 
-def test_newton_budget_exhaustion_raises():
+def test_newton_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(ratefn, "_MAX_ITER", 2)
     with pytest.raises(NonConvergenceError):
-        RateFunction(Rademacher(0.5), max_iter=2).evaluate(0.9)
+        RateFunction(Rademacher(0.5)).evaluate(0.9)
 
 
 # ------------------------------------------------------------- shape checks
@@ -106,7 +108,7 @@ def test_newton_budget_exhaustion_raises():
 def test_monotone_away_from_mean(d):
     I = RateFunction(d)
     mu = mean(d)
-    lo, hi = I.domain_endpoints()
+    lo, hi = support_bounds(d)
     lo = max(lo, mu - 4.0)
     hi = min(hi, mu + 4.0)
     up = [I.evaluate(r) for r in np.linspace(mu, hi, 100)]

@@ -245,9 +245,9 @@ def test_predict_deterministic_and_json_ready():
 
 def test_tie_tolerance_is_respected():
     # nudge one lambda by less than the tolerance: still a tie
-    rep = predict_limiting_speed(l2_gaussian((0.4, 1.5)), tie_tol=1e-9)
+    rep = predict_limiting_speed(l2_gaussian((0.4, 1.5)))
     assert len(rep.argmax) == 2
-    rep2 = predict_limiting_speed(l2_gaussian((0.4, 1.5 + 1e-3)), tie_tol=1e-9)
+    rep2 = predict_limiting_speed(l2_gaussian((0.4, 1.5 + 1e-3)))
     assert len(rep2.argmax) == 1
 
 
