@@ -419,6 +419,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"horizon": -3},
+            {"samples": -1},
             {"horizon": 0},
             {"samples": 0},
             {"master_seed": -1},
