@@ -165,11 +165,9 @@ def tail_prob(d: IncrementDistribution, r: float, side: str) -> float:
     return ge if side == "ge" else float(np.sum(weights[atoms < r]))
 
 
-def base_variates(d: IncrementDistribution, n: int, rng, out: np.ndarray | None = None) -> np.ndarray:
-    """``n`` base variates: standard normals for a Gaussian law, uniforms
-    otherwise; written into ``out`` when given, else into a new array."""
-    draw = rng.standard_normal if isinstance(d, Gaussian) else rng.random
-    return draw(n) if out is None else draw(n, out=out)
+def base_variates(d: IncrementDistribution, n: int, rng) -> np.ndarray:
+    """``n`` base variates: standard normals for a Gaussian law, uniforms otherwise."""
+    return rng.standard_normal(n) if isinstance(d, Gaussian) else rng.random(n)
 
 
 def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:

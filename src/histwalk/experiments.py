@@ -84,6 +84,12 @@ def _batch_boundaries(steps: int) -> np.ndarray:
     return np.unique(ends.astype(np.int64))
 
 
+def _check_steps(steps: int, n: int) -> None:
+    """A run must span at least 50 windows."""
+    if steps < 50 * n:
+        raise InvalidInputError(f"steps={steps} is too short for window {n}; need at least {50 * n}")
+
+
 def estimate_speed(
     spec: ModelSpec, version: str, steps: int, replicas: int, master_seed: int
 ) -> SimReport:
@@ -101,10 +107,7 @@ def estimate_speed(
     steps = int(steps)
     replicas = int(replicas)
     master_seed = _check_seed(master_seed)
-    if steps < 50 * spec.window:
-        raise InvalidInputError(
-            f"steps={steps} is too short for window {spec.window}; need at least {50 * spec.window}"
-        )
+    _check_steps(steps, spec.window)
     if replicas < 2:
         raise InvalidInputError(f"need at least 2 replicas, got {replicas}")
 
@@ -122,9 +125,9 @@ def estimate_speed(
         res = run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
         total_disp += res.position
         batch_means.append(np.diff(res.trace.positions, prepend=0.0) / np.diff(bounds, prepend=0))
-        occupancy += res.occupancy_steps
         for rec in res.records:
             visits[rec.regime] += 1
+            occupancy[rec.regime] += rec.steps
             if rec.censored:
                 continue
             stay_steps[rec.regime].append(rec.steps)
@@ -251,6 +254,8 @@ def sweep_window(
         steps_used = tuple(map(default_steps_rule(spec), grid))
     else:
         steps_used = (int(steps),) * len(grid)
+    for n, steps_n in zip(grid, steps_used):
+        _check_steps(steps_n, n)
 
     seeds = np.random.SeedSequence(master_seed).generate_state(len(grid), dtype=np.uint64)
     reports = []
@@ -457,31 +462,22 @@ def fit_exit_statistics(
 _PERSIST_CHUNK_ELEMENTS = 1 << 22
 
 
-def _persistence_profile(d, r: float, horizons, samples: int, rng) -> tuple[float, ...]:
-    """Survival fractions of running-mean paths at several horizons.
-
-    All horizons are read off the same ``samples`` paths, so the returned
-    sequence is non-increasing by construction. Dead paths are dropped as
-    soon as any prefix mean falls below ``r``, keeping memory proportional
-    to the number of survivors.
+def _persistence_profile(d, r: float, horizon: int, samples: int, rng) -> float:
+    """Fraction of ``samples`` running-mean paths that stay at or above ``r``
+    up to ``horizon``. Dead paths are dropped as soon as any prefix mean falls
+    below ``r``, keeping memory proportional to the number of survivors.
     """
 
-    horizons = sorted(set(int(h) for h in horizons))
-    if horizons[0] < 1:
-        raise InvalidInputError("horizons must be at least 1")
     sums = np.zeros(samples)
     t = 0
-    out = {}
-    for h in horizons:
-        while t < h and sums.size:
-            width = min(h - t, max(1, _PERSIST_CHUNK_ELEMENTS // sums.size))
-            draws = sample_n(d, sums.size * width, rng).reshape(sums.size, width)
-            trail = sums[:, None] + np.cumsum(draws, axis=1)
-            ok = np.all(trail >= r * np.arange(t + 1, t + width + 1), axis=1)
-            sums = trail[ok, -1]
-            t += width
-        out[h] = sums.size / samples
-    return tuple(out[h] for h in horizons)
+    while t < horizon and sums.size:
+        width = min(horizon - t, max(1, _PERSIST_CHUNK_ELEMENTS // sums.size))
+        draws = sample_n(d, sums.size * width, rng).reshape(sums.size, width)
+        trail = sums[:, None] + np.cumsum(draws, axis=1)
+        ok = np.all(trail >= r * np.arange(t + 1, t + width + 1), axis=1)
+        sums = trail[ok, -1]
+        t += width
+    return sums.size / samples
 
 
 def estimate_persistence_constant(
@@ -502,4 +498,4 @@ def estimate_persistence_constant(
     if horizon < 1 or samples < 1:
         raise InvalidInputError("horizon and samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(_check_seed(master_seed)))
-    return _persistence_profile(d, r, (horizon,), samples, rng)[0]
+    return _persistence_profile(d, r, horizon, samples, rng)

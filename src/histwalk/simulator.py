@@ -12,18 +12,17 @@ the initial regime, for both versions.
 the reference semantics. ``run`` implements the same dynamics with a block
 walker, which draws base variates in blocks on one schedule for the whole
 walk: the N forced initial draws as a block of their own, then blocks of
-``max(64, 2N) << k``, capped at 2^14 and at the remaining budget. The cap
-keeps the walker's memory to a few arrays of one block; blocks at the cap
-write into buffers kept for the walk rather than into new arrays. For each
+``max(64, 2N) << k``, capped at 2^13 and at the remaining budget. The cap
+keeps the walker's memory to a few arrays of one block, each small enough
+that the allocator reuses freed blocks instead of mapping new pages. For each
 block, and for each regime the first time it draws in the block, a lane maps
 the block with that regime's law, takes one cumsum over the actual window
 followed by the mapped draws, and lists the positions where the window sum
 leaves the regime's [lo, hi). A stay's exit is the first listed position at
 or after its first rule evaluation: N draws after a delayed switch, one after
 an instantaneous one, whose first N-1 windows still hold the old law's draws
-and are summed from the actual window instead. Position, occupancy,
-checkpoints, records and kept increments are read off the lane cumsums once
-per stay.
+and are summed from the actual window instead. Position, checkpoints,
+records and kept increments are read off the lane cumsums once per stay.
 
 The k-th increment of a run maps the k-th base variate of the stream, exactly
 as ``init`` and step_* calls do. The exceptions: a switch between a Gaussian
@@ -39,12 +38,12 @@ horizon: ``run`` censors a stay whose exit is decided on its last draw,
 because that decision would govern a draw that never happens, while
 ``sample_exit`` counts an exit on its cap-th draw. A ``sample_exit`` stay
 leaves the rest of its last block unused, so the blocks it draws set where
-the next stay's draws begin. The 2^14 cap first shortens a block 16k to 33k
-draws after the refill (at once when 2N > 2^14).
+the next stay's draws begin. The 2^13 cap first shortens a block 6k to 16k
+draws after the refill (sooner when 2N > 2^12, at once when 2N > 2^13).
 
 Known limit: each lane copies and sums the whole carried window of N
-increments, so above N = 2^14 a block of at most 2^14 draws also pays for N,
-and the cost per step grows with N / 2^14. No shipped config uses such
+increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
+and the cost per step grows with N / 2^13. No shipped config uses such
 windows.
 """
 
@@ -78,8 +77,11 @@ __all__ = [
 # rolling window sums are refreshed by exact recomputation this often
 _RESUM_INTERVAL = 1 << 20
 
-# the block walker's largest block of base variates
-_BLOCK_CAP = 1 << 14
+# the block walker's largest block of base variates. Each block array (z,
+# full, c0, ws) must stay under glibc's 128 KiB mmap threshold, so that a freed
+# one is reused from the heap instead of being unmapped and faulted in again;
+# the largest, c0, holds N + 2^13 + 1 doubles, which fit for N below about 8k.
+_BLOCK_CAP = 1 << 13
 
 _BLOCK_BATCH_ELEMENTS = 1 << 22
 
@@ -136,7 +138,6 @@ class RunResult:
     window: np.ndarray
     records: tuple[SojournRecord, ...]
     trace: TraceSummary
-    occupancy_steps: np.ndarray
     increments: np.ndarray | None = None
 
 
@@ -222,9 +223,8 @@ class _Walk:
     Regime i draws ``laws[i]`` and is left when its window sum falls outside
     ``bounds[i]``. The walk ends after ``budget`` draws or when a stay leaves
     the ladder: ``sample_exit`` gives its one law finite bounds, while a
-    run's outer regimes have an infinite side. Position, occupancy,
-    checkpoints, records and kept increments are read off the lanes once per
-    stay and block.
+    run's outer regimes have an infinite side. Position, checkpoints, records
+    and kept increments are read off the lanes once per stay and block.
     """
 
     def __init__(self, laws, bounds, n, delayed, budget, rng, regime, checkpoints=(), keep_increments=False):
@@ -244,7 +244,6 @@ class _Walk:
         self.decide = n  # time of the current stay's next rule evaluation
         self.grown = 0  # the next block is max(64, 2N) << grown draws
         self.stays: list[tuple] = []  # (regime, steps, displacement, exit direction or None)
-        self.occupancy = [0] * len(laws)
         self.ckpt_times = checkpoints
         self.ckpt_next = 0
         self.ckpt_pos: list[float] = []
@@ -252,8 +251,6 @@ class _Walk:
         self.ckpt_wavg: list[float] = []
         self.keep_increments = keep_increments
         self.increments: list[np.ndarray] = []
-        self.buffers: dict = {}  # see _out
-        self.at_cap = False  # whether the current block has the largest size
 
     def walk(self) -> None:
         n, law = self.n, self.laws[self.cur]
@@ -288,8 +285,7 @@ class _Walk:
         and a discrete law drops the rest of the block.
         """
         n, t = self.n, self.t
-        self.at_cap = m == _BLOCK_CAP
-        z = base_variates(self.laws[self.cur], m, self.rng, out=self._out("z", m))
+        z = base_variates(self.laws[self.cur], m, self.rng)
         lanes = {}
         # actual[N + k] is the draw at block position k, after the carried window.
         # It is the first lane's ``full``: every other regime writes its draws
@@ -339,21 +335,8 @@ class _Walk:
         self.t = t + m
         self.window = actual[m:m + n].copy()
         if self.keep_increments:
-            self.increments.append(actual[n:n + m].copy())
+            self.increments.append(actual[n:n + m])
         return alive
-
-    def _out(self, key, size: int, dtype=float) -> np.ndarray | None:
-        """Where a block-sized result goes: None, for a new array, while the
-        blocks grow; once they reach the cap, ``size`` elements of a buffer
-        kept for the rest of the walk. Arrays of the largest block's size,
-        allocated and freed block after block, would be handed back to the
-        system and page-faulted in again each time."""
-        if not self.at_cap:
-            return None
-        buf = self.buffers.get(key)
-        if buf is None:
-            buf = self.buffers[key] = np.empty(self.n + _BLOCK_CAP + 1, dtype)
-        return buf[:size]
 
     def _lane(self, regime: int, window: np.ndarray, z: np.ndarray):
         """Regime ``regime``'s view of the block from the position ``window`` ends at.
@@ -366,16 +349,12 @@ class _Walk:
         """
         n, k = self.n, len(z)
         lo, hi = self.bounds[regime]
-        full = np.concatenate((window, from_base(self.laws[regime], z)), out=self._out(("full", regime), n + k))
-        c0 = self._out(("c0", regime), n + k + 1)
-        if c0 is None:
-            c0 = np.empty(n + k + 1)
+        full = np.concatenate((window, from_base(self.laws[regime], z)))
+        c0 = np.empty(n + k + 1)
         c0[0] = 0.0
         full.cumsum(out=c0[1:])
-        ws = np.subtract(c0[n:], c0[:-n], out=self._out("ws", k + 1))
-        below = np.less(ws, lo, out=self._out("below", k + 1, bool))
-        above = np.greater_equal(ws, hi, out=self._out("above", k + 1, bool))
-        return full, c0, np.logical_or(below, above, out=below).nonzero()[0].tolist()
+        ws = c0[n:] - c0[:-n]
+        return full, c0, ((ws < lo) | (ws >= hi)).nonzero()[0].tolist()
 
     def _advance(self, actual: np.ndarray, p: int, stop: int, disp: float) -> None:
         """Account for the current regime's draws at block positions p..stop-1,
@@ -388,7 +367,6 @@ class _Walk:
             self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n)
             self.ckpt_next += 1
         self.pos += disp
-        self.occupancy[self.cur] += stop - p
 
     def _close(self, now: int, direction: str | None) -> bool:
         """End the current stay at time ``now``, leaving ``direction`` (None
@@ -421,7 +399,6 @@ class _Walk:
             window=self.window.copy(),
             records=records,
             trace=trace,
-            occupancy_steps=np.asarray(self.occupancy, dtype=np.int64),
             increments=incs,
         )
 

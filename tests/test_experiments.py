@@ -221,6 +221,19 @@ class TestSweepWindow:
         with pytest.raises(InvalidInputError):
             sweep_window(l1_gaussian(), "delayed", (), 2, 0, steps=10_000)
 
+    def test_every_step_budget_is_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+        real_run = experiments.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", counting_run)
+        with pytest.raises(InvalidInputError, match="steps=2000 is too short for window 1000"):
+            sweep_window(l1_gaussian(), "delayed", (10, 20, 1000), 2, 1, steps=2000)
+        assert calls == []
+
 
 def exact_block_probs(p, r_lo, r_hi, n):
     """Enumerate all +-1 strings of one block and add up outcome weights."""
@@ -392,23 +405,18 @@ class TestPersistence:
         est = estimate_persistence_constant(Rademacher(0.7), 0.0, 3, 100_000, 12)
         assert abs(est - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 100_000)
 
-    def test_profile_is_monotone_and_positive(self):
-        rng = np.random.default_rng(2)
-        profile = experiments._persistence_profile(
-            Gaussian(0.5, 1.0), 0.0, (1, 2, 4, 8, 16, 32, 64), 20_000, rng
-        )
-        assert all(a >= b for a, b in zip(profile, profile[1:]))
-        assert profile[-1] > 0.0
-        exact1 = tail_prob(Gaussian(0.5, 1.0), 0.0, "ge")
-        assert abs(profile[0] - exact1) <= 4.0 * math.sqrt(exact1 * (1 - exact1) / 20_000)
+    def test_profile_stays_positive_at_a_long_horizon(self):
+        assert experiments._persistence_profile(Gaussian(0.5, 1.0), 0.0, 64, 20_000, np.random.default_rng(2)) > 0.0
 
     def test_scripted_paths_survive_exactly_as_enumerated(self, monkeypatch):
-        # chunk cap 4 forces width-1 chunks: 4 paths draw one step each, the
-        # two survivors draw again
+        # chunk cap 4 forces width-1 chunks: 4 paths draw one step each; at
+        # horizon 2 the two survivors draw again
         monkeypatch.setattr(experiments, "_PERSIST_CHUNK_ELEMENTS", 4)
+        rng = ScriptedRNG([0.9, 0.9, 0.1, 0.1])
+        assert experiments._persistence_profile(Rademacher(0.7), 0.5, 1, 4, rng) == 0.5
+        assert rng.consumed == 4
         rng = ScriptedRNG([0.9, 0.9, 0.1, 0.1, 0.1, 0.9])
-        profile = experiments._persistence_profile(Rademacher(0.7), 0.5, (1, 2), 4, rng)
-        assert profile == (0.5, 0.25)
+        assert experiments._persistence_profile(Rademacher(0.7), 0.5, 2, 4, rng) == 0.25
         assert rng.consumed == 6
 
     def test_long_horizon_estimate_stays_in_the_exact_sandwich(self):

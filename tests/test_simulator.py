@@ -302,8 +302,7 @@ def test_run_is_the_reference_at_block_edges(kind, version, n, gap, i0, edge, of
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
 @pytest.mark.parametrize("ladder", ["gaussian-l1", "integer-atoms"])
 def test_run_is_the_reference_in_blocks_at_the_cap(ladder, version):
-    # blocks at the cap write into buffers kept for the whole walk: two full
-    # blocks there and part of a third, with switches throughout
+    # two full blocks at the cap and part of a third, with switches throughout
     spec = LADDERS[ladder]
     steps = block_edges(spec.window, 11)[10] + 1000
     assert steps - block_edges(spec.window, 9)[8] > 2 * simulator._BLOCK_CAP
@@ -339,7 +338,7 @@ def test_run_trace_and_final_window_are_read_off_the_increments(version):
 
 
 def test_run_memory_is_a_few_blocks():
-    # the walker holds a few arrays of one block (at most 2^14 draws), not
+    # the walker holds a few arrays of one block (at most 2^13 draws), not
     # chunks of 2^17 several times over
     spec = ModelSpec(
         dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0), Gaussian(2.0, 1.0)),
@@ -442,7 +441,6 @@ def test_run_record_invariants(version):
         assert all(r.steps >= 5 for r in recs[:-1])
     else:
         assert all(r.steps >= 1 for r in recs[:-1])
-    assert res.occupancy_steps.sum() == 20_000
     assert res.steps == 20_000
 
 
