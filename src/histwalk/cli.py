@@ -185,7 +185,7 @@ def _guarded(fn):
             _fail(2, f"usage error: {err}")
         except OSError as err:
             _fail(2, f"i/o error: {err}")
-        except (NonConvergenceError, ExcessCensoringError) as err:
+        except (NonConvergenceError, ExcessCensoringError, MemoryError) as err:
             _fail(3, f"budget error: {err}")
         except (AssumptionError, InvalidChainError, DegenerateEstimateError) as err:
             _fail(1, f"domain error: {err}")

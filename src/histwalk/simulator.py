@@ -77,13 +77,13 @@ __all__ = [
 # rolling window sums are refreshed by exact recomputation this often
 _RESUM_INTERVAL = 1 << 20
 
-# the block walker's largest block of base variates. Each block array (z,
-# full, c0, ws) must stay under glibc's 128 KiB mmap threshold, so that a freed
-# one is reused from the heap instead of being unmapped and faulted in again;
-# the largest, c0, holds N + 2^13 + 1 doubles, which fit for N below about 8k.
+# the largest block of base variates, for the block walker and for the batches
+# of fresh blocks alike. Each block array must stay under glibc's 128 KiB mmap
+# threshold, so that a freed one is reused from the heap instead of being
+# unmapped and faulted in again. The walker's largest, c0, holds N + 2^13 + 1
+# doubles, which fit for N below about 8k; a batch's c0 holds at most 2^13
+# doubles, or 2N when one block alone exceeds the cap.
 _BLOCK_CAP = 1 << 13
-
-_BLOCK_BATCH_ELEMENTS = 1 << 22
 
 _NO_DRAWS = np.empty(0)
 
@@ -474,37 +474,34 @@ class BlockOutcome(Enum):
     NONE = "none"
 
 
-def _classify(ws: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Outcome codes 0=UP 1=DOWN 2=BOTH 3=NONE for rows of window sums."""
-    up = ws.max(axis=1) >= hi
-    dn = ws.min(axis=1) < lo
-    return np.where(up & ~dn, 0, np.where(~up & dn, 1, np.where(up & dn, 2, 3)))
-
-
-_OUTCOME_BY_CODE = (BlockOutcome.UP, BlockOutcome.DOWN, BlockOutcome.BOTH, BlockOutcome.NONE)
-
-
-def _block_window_sums(d, n: int, count: int, rng) -> np.ndarray:
-    draws = sample_n(d, count * (2 * n - 1), rng).reshape(count, 2 * n - 1)
-    c0 = np.zeros((count, 2 * n))  # allocated after sampling's temporaries are gone
-    np.cumsum(draws, axis=1, out=c0[:, 1:])
-    return c0[:, n:] - c0[:, :n]  # N sums per row
-
-
 def sample_block_outcomes(
     d: IncrementDistribution, r_lo: float, r_hi: float, n: int, rng, count: int
 ) -> dict[BlockOutcome, int]:
-    """Outcome counts over ``count`` fresh blocks of 2N-1 increments, drawn in batches."""
+    """Outcome counts over ``count`` fresh blocks of 2N-1 increments.
+
+    Blocks are drawn in batches of max(1, 2^13 // 2N) rows, each row the next
+    2N-1 draws of the stream, so the counts do not depend on the batch size.
+    """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or count < 1:
         raise InvalidInputError("N and count must be >= 1")
-    rows_per_batch = max(1, _BLOCK_BATCH_ELEMENTS // (2 * n - 1))
-    tallies = np.zeros(4, dtype=np.int64)
-    done = 0
-    while done < count:
+    lo, hi = n * r_lo, n * r_hi
+    rows_per_batch = max(1, _BLOCK_CAP // (2 * n))
+    up = down = both = 0
+    for done in range(0, count, rows_per_batch):
         rows = min(rows_per_batch, count - done)
-        ws = _block_window_sums(d, n, rows, rng)
-        tallies += np.bincount(_classify(ws, n * r_lo, n * r_hi), minlength=4)
-        done += rows
-    return {out: int(tallies[i]) for i, out in enumerate(_OUTCOME_BY_CODE)}
+        c0 = np.zeros((rows, 2 * n))
+        np.cumsum(sample_n(d, rows * (2 * n - 1), rng).reshape(rows, 2 * n - 1), axis=1, out=c0[:, 1:])
+        ws = c0[:, n:] - c0[:, :n]  # N window sums per row
+        crossed_up = ws.max(axis=1) >= hi
+        crossed_down = ws.min(axis=1) < lo
+        up += int(np.count_nonzero(crossed_up))
+        down += int(np.count_nonzero(crossed_down))
+        both += int(np.count_nonzero(crossed_up & crossed_down))
+    return {
+        BlockOutcome.UP: up - both,
+        BlockOutcome.DOWN: down - both,
+        BlockOutcome.BOTH: both,
+        BlockOutcome.NONE: count - up - down + both,
+    }

@@ -510,6 +510,18 @@ class TestPersistence:
         assert f"r must be finite, got {level}" in res.stderr
 
 
+    def test_impossible_allocation_is_a_budget_error(self, runner, tmp_path):
+        # 2^50 samples is 8 PiB of running sums, beyond any address space
+        res = runner.invoke(
+            main,
+            ["persistence", write_config(tmp_path, L1_DOC), "--dist", "1",
+             "--r", "0.5", "--horizon", "10", "--samples", str(2**50), "--seed", "1"],
+        )
+        assert res.exit_code == 3
+        assert "budget error:" in res.stderr
+        assert "Traceback" not in res.output
+
+
 class TestOutputHygiene:
     def test_atomic_write_leaves_no_droppings(self, runner, tmp_path):
         out = tmp_path / "report.json"

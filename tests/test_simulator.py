@@ -614,6 +614,35 @@ def test_block_scalar_and_batch_agree_in_distribution():
         assert abs(counts[key] / 20_000 - outcomes[key] / 8) < 0.02
 
 
+@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.parametrize(
+    "d", [Gaussian(0.0, 1.0), Rademacher(0.3), FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.3, 0.4, 0.2, 0.1))],
+    ids=["gaussian", "rademacher", "lattice"],
+)
+def test_block_counts_do_not_depend_on_the_batch_size(monkeypatch, d, n):
+    # 1001 blocks fill no whole number of batches; at N=3 a cap of 5 is below
+    # one block's 2N, so every batch holds a single row
+    counts = []
+    for cap in (5, 1 << 22):
+        monkeypatch.setattr(simulator, "_BLOCK_CAP", cap)
+        counts.append(sample_block_outcomes(d, -0.5, 0.5, n, AnyRng(8), 1001))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) == 1001
+
+
+def test_block_memory_is_a_few_batches():
+    # each batch holds at most 2^13 elements, not 2^22 several times over
+    d = Gaussian(1.0, 1.0)
+    sample_block_outcomes(d, 0.4, 1.6, 40, AnyRng(0), 1000)  # lazy imports are not the sampler's memory
+    tracemalloc.start()
+    try:
+        sample_block_outcomes(d, 0.4, 1.6, 40, AnyRng(1), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_block_validates():
     with pytest.raises(InvalidInputError):
         sample_block_outcomes(Gaussian(0, 1), 0.5, 0.5, 3, AnyRng(0), 1)
