@@ -234,7 +234,7 @@ def _pick_dist(spec: ModelSpec, index: int):
 def _finite(name: str, value) -> float:
     value = float(value)
     if not np.isfinite(value):
-        _fail(2, f"{name} must be finite, got {value}")
+        raise InvalidInputError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -251,7 +251,7 @@ def _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi):
     for name, flag, default in zip(("r_lo", "r_hi"), (r_lo, r_hi), threshold_bounds(spec, dist_index)):
         given = _resolve(name, flag, run_cfg)
         if given is None and not np.isfinite(default):
-            _fail(2, f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
+            raise InvalidInputError(f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
         bounds.append(_finite(name, default if given is None else given))
     return run_cfg, d, grid, seed, bounds[0], bounds[1]
 

@@ -70,9 +70,9 @@ class RateFunction:
         if r == lo and r == hi:  # point mass
             return (0.0, 0.0)
         if r == hi:
-            return (-math.log(_atom_weight_at(d, hi)), math.inf)
+            return (-math.log(tail_prob(d, hi, "ge")), math.inf)
         if r == lo:
-            return (-math.log(_atom_weight_at(d, lo)), -math.inf)
+            return (-math.log(tail_prob(d, math.nextafter(lo, math.inf), "lt")), -math.inf)
         tilt = self._newton(r)
         return (tilt * r - cgf(d, tilt), tilt)
 
@@ -84,22 +84,17 @@ class RateFunction:
         d1, _ = cgf_derivatives(d, lam)
         if abs(d1 - r) <= tol:
             return lam
-        # expand a bracket [blo, bhi] with K'(blo) < r < K'(bhi);
-        # K' approaches the support edge exponentially, so doubling is enough
-        if d1 < r:
-            blo, bhi = lam, 1.0
-            while cgf_derivatives(d, bhi)[0] < r:
-                blo, bhi = bhi, bhi * 2.0
-                budget -= 1
-                if budget <= 0:
-                    raise NonConvergenceError(f"bracket expansion exhausted at r={r}")
-        else:
-            blo, bhi = -1.0, lam
-            while cgf_derivatives(d, blo)[0] > r:
-                blo, bhi = blo * 2.0, blo
-                budget -= 1
-                if budget <= 0:
-                    raise NonConvergenceError(f"bracket expansion exhausted at r={r}")
+        # expand a bracket [blo, bhi] with K'(blo) < r < K'(bhi) from 0 towards
+        # the side of r; K' approaches the support edge exponentially, so
+        # doubling is enough
+        side = 1.0 if d1 < r else -1.0
+        near, far = lam, side
+        while (cgf_derivatives(d, far)[0] - r) * side < 0:
+            near, far = far, 2.0 * far
+            budget -= 1
+            if budget <= 0:
+                raise NonConvergenceError(f"bracket expansion exhausted at r={r}")
+        blo, bhi = min(near, far), max(near, far)
         lam = 0.5 * (blo + bhi)
         for _ in range(budget):
             d1, d2 = cgf_derivatives(d, lam)
@@ -115,10 +110,6 @@ class RateFunction:
         raise NonConvergenceError(
             f"Newton solve for K'(t)={r} did not reach |residual|<={tol} in {_MAX_ITER} iterations"
         )
-
-
-def _atom_weight_at(d, x: float) -> float:
-    return tail_prob(d, x, "ge") - tail_prob(d, math.nextafter(x, math.inf), "ge")
 
 
 def verify_cramer_slope(

@@ -10,13 +10,15 @@ the initial regime, for both versions.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
 the reference semantics. ``run`` implements the same dynamics with a block
-walker, which draws base variates in blocks on one schedule for the whole
-walk: the N forced initial draws as a block of their own, then blocks of
-``max(64, 2N) << k``, capped at 2^13 and at the remaining budget. The cap
-keeps the walker's memory to a few arrays of one block, each small enough
-that the allocator reuses freed blocks instead of mapping new pages. For each
-block, and for each regime the first time it draws in the block, a lane maps
-the block with that regime's law, takes one cumsum over the actual window
+walker, which draws base variates in blocks on one schedule from time 0:
+blocks of ``max(64, 2N) << k``, capped at 2^13 and at the remaining budget.
+The N forced initial draws are the head of the first block, read against a
+carried window of N zeros, so the window sum at time N is the refill's sum
+and the first decision is found like every later one. The cap keeps the
+walker's memory to a few arrays of one block, each small enough that the
+allocator reuses freed blocks instead of mapping new pages. For each block,
+and for each regime the first time it draws in the block, a lane maps the
+block with that regime's law, takes one cumsum over the actual window
 followed by the mapped draws, and lists the positions where the window sum
 leaves the regime's [lo, hi). A stay's exit is the first listed position at
 or after its first rule evaluation: N draws after a delayed switch, one after
@@ -38,8 +40,9 @@ horizon: ``run`` censors a stay whose exit is decided on its last draw,
 because that decision would govern a draw that never happens, while
 ``sample_exit`` counts an exit on its cap-th draw. A ``sample_exit`` stay
 leaves the rest of its last block unused, so the blocks it draws set where
-the next stay's draws begin. The 2^13 cap first shortens a block 6k to 16k
-draws after the refill (sooner when 2N > 2^12, at once when 2N > 2^13).
+the next stay's draws begin. The 2^13 cap first shortens the block that
+starts 6,150 to 16,320 draws into the walk for N <= 2048, 4,098 to 8,192
+draws in for 2048 < N <= 4096, and the first block when N > 4096.
 
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
@@ -84,8 +87,6 @@ _RESUM_INTERVAL = 1 << 20
 # doubles, which fit for N below about 8k; a batch's c0 holds at most 2^13
 # doubles, or 2N when one block alone exceeds the cap.
 _BLOCK_CAP = 1 << 13
-
-_NO_DRAWS = np.empty(0)
 
 _VERSIONS = ("delayed", "instantaneous")
 
@@ -238,7 +239,7 @@ class _Walk:
         self.cur = regime
         self.t = 0  # draws made before the current block
         self.pos = 0.0  # position at the start of the current stay segment
-        self.window = _NO_DRAWS  # the last N draws before the current block
+        self.window = np.zeros(n)  # the last N draws before the current block, zeros at first
         self.stay_t = 0
         self.stay_pos = 0.0
         self.decide = n  # time of the current stay's next rule evaluation
@@ -253,23 +254,9 @@ class _Walk:
         self.increments: list[np.ndarray] = []
 
     def walk(self) -> None:
-        n, law = self.n, self.laws[self.cur]
-        x = from_base(law, base_variates(law, n, self.rng))  # the forced refill, a block of its own
-        # only checkpoints read it; windows before time N are incomplete and average to NaN
-        actual = np.concatenate((np.full(n, math.nan), x)) if self.ckpt_times else None
-        s = float(x.sum())  # exact: the one evaluation of the refill, at time N
-        self._advance(actual, 0, n, s)
-        self.t, self.window = n, x
-        if self.keep_increments:
-            self.increments.append(x)
-        lo, hi = self.bounds[self.cur]
-        if s < lo or s >= hi:
-            alive = self._close(n, "down" if s < lo else "up")
-        else:
-            self.decide = n + 1
-            alive = n < self.budget or self._close(n, None)
+        alive = True
         while alive:
-            m = min(max(64, 2 * n) << self.grown, _BLOCK_CAP, self.budget - self.t)
+            m = min(max(64, 2 * self.n) << self.grown, _BLOCK_CAP, self.budget - self.t)
             self.grown += 1
             alive = self._block(m)
 
@@ -341,11 +328,11 @@ class _Walk:
     def _lane(self, regime: int, window: np.ndarray, z: np.ndarray):
         """Regime ``regime``'s view of the block from the position ``window`` ends at.
 
-        ``full`` is ``window``, the actual last N draws, followed by the
-        regime's law mapped over ``z``; ``c0`` is its zero-prefixed cumsum,
-        so ``c0[N + j] - c0[j]`` is the window sum after j more draws of that
-        law. ``exits`` lists the j at which that sum leaves the regime's
-        [lo, hi), ascending.
+        ``full`` is ``window``, the actual last N draws (zeros before time
+        N), followed by the regime's law mapped over ``z``; ``c0`` is its
+        zero-prefixed cumsum, so ``c0[N + j] - c0[j]`` is the window sum
+        after j more draws of that law. ``exits`` lists the j at which that
+        sum leaves the regime's [lo, hi), ascending.
         """
         n, k = self.n, len(z)
         lo, hi = self.bounds[regime]
@@ -364,7 +351,8 @@ class _Walk:
             k = times[self.ckpt_next] - t
             self.ckpt_pos.append(self.pos + float(actual[n + p:n + k].sum()))
             self.ckpt_regime.append(self.cur)
-            self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n)
+            # windows before time N are incomplete and average to NaN
+            self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
             self.ckpt_next += 1
         self.pos += disp
 

@@ -418,6 +418,7 @@ class TestBlocks:
              "--n-grid", "4,5,6", "--samples", "1000", "--seed", "3"],
         )
         assert res.exit_code == 2
+        assert "usage error:" in res.stderr
         assert "unbounded" in res.stderr
 
     @pytest.mark.parametrize("command", ["blocks", "exits"])
@@ -428,6 +429,7 @@ class TestBlocks:
              "--n-grid", "4,5,6", "--samples", "1000", "--seed", "3"],
         )
         assert res.exit_code == 2
+        assert "usage error:" in res.stderr
         assert "r_lo must be finite" in res.stderr
         assert "unbounded" not in res.stderr
 
@@ -507,6 +509,7 @@ class TestPersistence:
             path = write_config(tmp_path, mutate(L1_DOC, lambda d: d["run"].update(r=level)))
         res = invoke(runner, ["persistence", path, "--dist", "1", *args])
         assert res.exit_code == 2
+        assert "usage error:" in res.stderr
         assert f"r must be finite, got {level}" in res.stderr
 
 

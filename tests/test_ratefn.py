@@ -74,14 +74,24 @@ def test_outside_support_is_infinite():
     assert val == math.inf and math.isnan(tilt)
 
 
-def test_boundary_atoms_exact_log_weight():
-    d = FiniteDiscrete((-2.0, 0.0, 1.5), (0.1, 0.6, 0.3))
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [
+        ((-2.0, 0.0, 1.5), (0.1, 0.6, 0.3)),
+        ((-1.0, 0.0, 1.0, 2.0), (0.3, 0.4, 0.2, 0.1)),
+        ((-1.0, 0.0, 1.0, 2.0), (0.1, 0.2, 0.4, 0.3)),
+        ((-1.0, 0.0, 1.0, 2.0), (0.05, 0.1, 0.3, 0.55)),
+        ((-3.0, 1.0, 7.0), (0.2, 0.3, 0.5)),
+    ],
+    ids=["three-atom", "ladder-low", "ladder-mid", "ladder-high", "integer"],
+)
+def test_boundary_atoms_exact_log_weight(atoms, weights):
+    # each endpoint reads one atom's weight, with no tail sums subtracted
+    d = FiniteDiscrete(atoms, weights)
     I = RateFunction(d)
-    assert I.evaluate(1.5) == pytest.approx(-math.log(0.3), abs=1e-14)
-    assert I.evaluate(-2.0) == pytest.approx(-math.log(0.1), abs=1e-14)
-    assert support_bounds(d) == (-2.0, 1.5)
-    _, tilt = I.solve(1.5)
-    assert tilt == math.inf
+    assert support_bounds(d) == (atoms[0], atoms[-1])
+    assert I.solve(atoms[-1]) == (-math.log(weights[-1]), math.inf)
+    assert I.solve(atoms[0]) == (-math.log(weights[0]), -math.inf)
 
 
 def test_point_mass():

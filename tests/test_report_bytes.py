@@ -73,16 +73,16 @@ EXIT_CODES = {"validate-failing": 1}  # every other case exits 0
 CSV_CASES = {"simulate-trace", "sweep-csv", "ratefn"}
 
 DIGESTS = {
-    "simulate": "2146d5ef4ac20b6139c5cc18ddb0f82d433086d7de60154a8af008b67943536b",
+    "simulate": "7a1bcd666d2b6cd9d6234e454f8b2eee9ebd7b91eff3ac637171e135e1a80b31",
     "simulate-trace": "93ddd4ecbcb771ad9bc7354b744262234d388d332d7033c82ef32474b5fba67e",
-    "sweep-json": "6bbcc86f0ffe8693893c6746ca99a453a47b01dc5fa9f935829b4232ca61fe31",
-    "exits": "2e2f69f9d12491fdf2676b83c74314b25ba84dc2e81f725ea9598c74a6d737fe",
+    "sweep-json": "f7a8d7ad52a06bb284951ce61cc344d8697f6c6e2bb38ec7e430ffc68c66b527",
+    "exits": "07208d3c454362296a1b3fd2cca548f88b4ca384bbed6ca4ba2a382b70f84624",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
     "validate": "bb78bbc66b028f43ae11335e5871e24cffad78c8b0ebbed59af4d9420f6fb212",
     "validate-failing": "8f96c7aac0b6b24ae28c2598cfe7660df7bd43ac1df1e00174865d9c43be2c60",
-    "sweep-csv": "6eef79d84160e5b32218c5d864df514408589a22e5022f3e8342b88270d0be52",
-    "ratefn": "959bf519101959d513a92d2d2412c21e4b6895e3ee31fa5e218570f5bc141615",
+    "sweep-csv": "0dc84e8924b333a067cd11ad153d548cceccc1a8d9b2a656db310da5497e3722",
+    "ratefn": "0c732cafc1dba1c00d26da7f3338d38d57f4ce063f80ecea3e2bcac5fc6a23b4",
     "persistence": "63a75470f9e4e87500bb42e040da0babecd90143c1317c0c61c77f7588e62a1f",
 }
 

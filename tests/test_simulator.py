@@ -250,12 +250,11 @@ def test_run_mixed_ladder_drops_carried_variates_of_the_other_kind():
 
 
 def block_edges(n, count):
-    """The times at which the walker's first ``count`` blocks end: the N
-    forced draws, then blocks of max(64, 2N) << k capped at the block cap."""
-    edges = [n]
-    for k in range(count - 1):
-        edges.append(edges[-1] + min(max(64, 2 * n) << k, simulator._BLOCK_CAP))
-    return edges
+    """The end of the N forced draws, then the times at which the walker's
+    first ``count - 1`` blocks end: blocks of max(64, 2N) << k capped at the
+    block cap, the first one headed by the forced draws."""
+    blocks = [min(max(64, 2 * n) << k, simulator._BLOCK_CAP) for k in range(count - 1)]
+    return [n] + np.cumsum(blocks).tolist()
 
 
 def stays_of(regimes):
@@ -547,6 +546,16 @@ def test_sample_exit_steps_match_oracle_rademacher():
         # every window before the last is inside, the last one is out
         assert all(-1.5 <= s < 1.5 for s in sums[:-1])
         assert not (-1.5 <= sums[-1] < 1.5)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_sample_exit_refill_is_the_head_of_the_first_block(n):
+    # the refill is decided off the first block of max(64, 2N) draws, so a
+    # stay that exits at time N still leaves the rest of that block unused
+    rng = ScriptedRNG([0.999] * 80)
+    rec = sample_exit(Rademacher(0.5), -0.5, 0.5, n, rng)
+    assert (rec.steps, rec.exit_direction, rec.censored) == (n, "up", False)
+    assert rng.consumed == max(64, 2 * n)
 
 
 # --------------------------------------------------------------- block samples
