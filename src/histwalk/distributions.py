@@ -176,8 +176,9 @@ def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
         return d.mu + math.sqrt(d.sigma2) * z
     if isinstance(d, Rademacher):
         return np.where(z < 1.0 - d.p, -1.0, 1.0)
-    idx = np.minimum(np.searchsorted(d._cumw, z, side="right"), len(d.atoms) - 1)
-    return d._atoms[idx]
+    # a u at or above the last cumulative weight, which may fall short of 1
+    # by rounding, is past every atom; the clip gives it the top one
+    return d._atoms.take(d._cumw.searchsorted(z, "right"), mode="clip")
 
 
 def sample(d: IncrementDistribution, rng) -> float:

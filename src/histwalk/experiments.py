@@ -117,23 +117,24 @@ def estimate_speed(
     batch_means: list[np.ndarray] = []
     occupancy = np.zeros(nregimes, dtype=np.int64)
     visits = np.zeros(nregimes, dtype=np.int64)
-    stay_steps: list[list[int]] = [[] for _ in range(nregimes)]
-    stay_disp: list[list[float]] = [[] for _ in range(nregimes)]
     stay_up = np.zeros(nregimes, dtype=np.int64)
+    # completed stays of each regime, one array per replica, in stay order
+    stay_steps: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
+    stay_disp: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
 
     for child in np.random.SeedSequence(master_seed).spawn(replicas):
         res = run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
         total_disp += res.position
         batch_means.append(np.diff(res.trace.positions, prepend=0.0) / np.diff(bounds, prepend=0))
-        for rec in res.records:
-            visits[rec.regime] += 1
-            occupancy[rec.regime] += rec.steps
-            if rec.censored:
-                continue
-            stay_steps[rec.regime].append(rec.steps)
-            stay_disp[rec.regime].append(rec.displacement)
-            if rec.exit_direction == "up":
-                stay_up[rec.regime] += 1
+        regimes, exits = res.stay_regimes, res.stay_exits
+        visits += np.bincount(regimes, minlength=nregimes)
+        stay_up += np.bincount(regimes[exits == 1], minlength=nregimes)
+        completed = exits != 0
+        for i in range(nregimes):
+            here = regimes == i
+            occupancy[i] += res.stay_steps[here].sum()
+            stay_steps[i].append(res.stay_steps[here & completed])
+            stay_disp[i].append(res.stay_displacements[here & completed])
 
     pooled = np.concatenate(batch_means)
     est = total_disp / (replicas * steps)
@@ -143,12 +144,12 @@ def estimate_speed(
     warnings: list[str] = []
     per_regime: list[RegimeStats] = []
     for i in range(nregimes):
-        s = np.asarray(stay_steps[i], dtype=float)
+        s = np.concatenate(stay_steps[i]).astype(float)
         if s.size == 0:
             warnings.append(f"insufficient data: regime {i} has no completed sojourns")
             per_regime.append(RegimeStats(i, 0, None, None, None, None, None))
             continue
-        d = np.asarray(stay_disp[i], dtype=float)
+        d = np.concatenate(stay_disp[i])
         resid = d - means[i] * s
         wald_se = None
         if resid.size >= 2:

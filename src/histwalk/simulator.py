@@ -23,8 +23,11 @@ followed by the mapped draws, and lists the positions where the window sum
 leaves the regime's [lo, hi). A stay's exit is the first listed position at
 or after its first rule evaluation: N draws after a delayed switch, one after
 an instantaneous one, whose first N-1 windows still hold the old law's draws
-and are summed from the actual window instead. Position, checkpoints,
-records and kept increments are read off the lane cumsums once per stay.
+and are summed from the actual window instead. Position, checkpoints and
+kept increments are read off the lane cumsums once per stay. Each stay is
+one entry in four typed columns (regime, draws, displacement, exit code), so
+a run holds about 21 bytes per stay, and ``SojournRecord``s are built only
+when a caller asks for them.
 
 The k-th increment of a run maps the k-th base variate of the stream, exactly
 as ``init`` and step_* calls do. The exceptions: a switch between a Gaussian
@@ -53,9 +56,11 @@ windows.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -129,17 +134,40 @@ class TraceSummary:
     window_avgs: np.ndarray
 
 
+# exit codes of the stay columns
+_DIRECTIONS = {-1: "down", 0: None, 1: "up"}
+
+
 @dataclass(frozen=True)
 class RunResult:
     """A finished run: ``position`` is where the walk ended and ``window``
-    holds its last N increments, oldest first."""
+    holds its last N increments, oldest first.
+
+    Its stays, in order, are four columns of equal length: ``stay_regimes``,
+    ``stay_steps`` (draws made under the stay's law), ``stay_displacements``
+    and ``stay_exits``, the exit code -1 (down), +1 (up) or 0 (censored).
+    Only the last stay is censored, as the horizon always cuts a run inside
+    one. ``records`` holds the same stays as ``SojournRecord``s, built on
+    first use.
+    """
 
     steps: int
     position: float
     window: np.ndarray
-    records: tuple[SojournRecord, ...]
+    stay_regimes: np.ndarray
+    stay_steps: np.ndarray
+    stay_displacements: np.ndarray
+    stay_exits: np.ndarray
     trace: TraceSummary
     increments: np.ndarray | None = None
+
+    @cached_property
+    def records(self) -> tuple[SojournRecord, ...]:
+        cols = (self.stay_regimes, self.stay_steps, self.stay_displacements, self.stay_exits)
+        return tuple(
+            SojournRecord(regime, steps, disp, _DIRECTIONS[code], code == 0)
+            for regime, steps, disp, code in zip(*(col.tolist() for col in cols))
+        )
 
 
 def _check_version(version: str) -> bool:
@@ -208,14 +236,15 @@ def _straddle(actual: np.ndarray, full: np.ndarray, q: int, p: int, m: int, n: i
     instantaneous rule. Those windows still hold draws made before ``p`` by
     other laws, which the regime's lane, built at ``q`` < ``p``, does not; so
     the sum rolls from the actual window at ``p`` as the reference's does.
-    Returns the position and whether the sum fell below ``lo``, or two Nones."""
+    Returns the position and the exit code (-1 below ``lo``, +1 at or above
+    ``hi``), or None and 0."""
     window = actual[p:p + n].tolist()
     s = sum(window)
     for i, x in enumerate(full[n + p - q:n + p - q + min(n - 1, m - p)].tolist()):
         s += x - window[i]
         if s < lo or s >= hi:
-            return p + 1 + i, s < lo
-    return None, None
+            return p + 1 + i, -1 if s < lo else 1
+    return None, 0
 
 
 class _Walk:
@@ -224,7 +253,7 @@ class _Walk:
     Regime i draws ``laws[i]`` and is left when its window sum falls outside
     ``bounds[i]``. The walk ends after ``budget`` draws or when a stay leaves
     the ladder: ``sample_exit`` gives its one law finite bounds, while a
-    run's outer regimes have an infinite side. Position, checkpoints, records
+    run's outer regimes have an infinite side. Position, checkpoints, stays
     and kept increments are read off the lanes once per stay and block.
     """
 
@@ -244,8 +273,13 @@ class _Walk:
         self.stay_pos = 0.0
         self.decide = n  # time of the current stay's next rule evaluation
         self.grown = 0  # the next block is max(64, 2N) << grown draws
-        self.stays: list[tuple] = []  # (regime, steps, displacement, exit direction or None)
-        self.ckpt_times = checkpoints
+        # one entry per stay ended so far; the exit code is -1 (down), +1 (up)
+        # or 0 (the horizon cut the stay short)
+        self.stay_regimes = array("i")
+        self.stay_steps = array("q")
+        self.stay_displacements = array("d")
+        self.stay_exits = array("b")
+        self.ckpt_times = [*checkpoints, math.inf]  # the sentinel is never reached
         self.ckpt_next = 0
         self.ckpt_pos: list[float] = []
         self.ckpt_regime: list[int] = []
@@ -268,26 +302,33 @@ class _Walk:
         built the first time the regime draws in the block. A stay that
         starts a block, or builds its lane, reads every window sum off the
         lane; one that re-enters its regime under the instantaneous rule sums
-        its first N-1 windows by ``_straddle``. A switch between a Gaussian
-        and a discrete law drops the rest of the block.
+        its first N-1 windows by ``_straddle``. The pass then takes the
+        checkpoints up to the exit and, at an exit or the horizon, ends the
+        stay. A switch between a Gaussian and a discrete law drops the rest
+        of the block.
         """
-        n, t = self.n, self.t
+        n, t, budget = self.n, self.t, self.budget
+        refill = n if self.delayed else 1  # draws from a switch to the next stay's first evaluation
+        nlaws = len(self.laws)
         z = base_variates(self.laws[self.cur], m, self.rng)
-        lanes = {}
+        lanes = [None] * nlaws
         # actual[N + k] is the draw at block position k, after the carried window.
         # It is the first lane's ``full``: every other regime writes its draws
         # over positions at which that lane's law draws nothing.
         actual = None
+        cur, pos, stay_t, stay_pos, decide = self.cur, self.pos, self.stay_t, self.stay_pos, self.decide
+        times, ck = self.ckpt_times, self.ckpt_next
+        add_regime, add_steps = self.stay_regimes.append, self.stay_steps.append
+        add_disp, add_exit = self.stay_displacements.append, self.stay_exits.append
         p = 0  # the block position where the current stay's draws in this block begin
         while True:
-            cur = self.cur
-            lo, hi = self.bounds[cur]
-            d = self.decide - t  # block position of the stay's next evaluation
-            hit = down = None
-            if cur in lanes:
-                q, full, c0, exits = lanes[cur]
+            d = decide - t  # block position of the stay's next evaluation
+            hit, code = None, 0
+            lane = lanes[cur]
+            if lane is not None:
+                q, full, c0, exits = lane
                 if d < p + n:  # only under the instantaneous rule
-                    hit, down = _straddle(actual, full, q, p, m, n, lo, hi)
+                    hit, code = _straddle(actual, full, q, p, m, n, *self.bounds[cur])
                     d = p + n
             else:
                 q = p
@@ -300,25 +341,46 @@ class _Walk:
                 i = bisect_left(exits, d - q)
                 if i < len(exits):
                     hit = exits[i] + q
-                    down = float(c0[n + hit - q] - c0[hit - q]) < lo
+                    code = -1 if c0[n + hit - q] - c0[hit - q] < self.bounds[cur][0] else 1
             stop = m if hit is None else hit
             if actual is not full:
                 actual[n + p:n + stop] = full[n + p - q:n + stop - q]
-            self._advance(actual, p, stop, float(c0[n + stop - q] - c0[n + p - q]))
+            while times[ck] <= t + stop:
+                k = times[ck] - t
+                self.ckpt_pos.append(pos + float(actual[n + p:n + k].sum()))
+                self.ckpt_regime.append(cur)
+                # windows before time N are incomplete and average to NaN
+                self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
+                ck += 1
+            pos += float(c0[n + stop - q] - c0[n + p - q])
             if hit is None:
-                self.decide = max(self.decide, t + m + 1)
-                alive = t + m < self.budget or self._close(t + m, None)
+                decide = max(decide, t + m + 1)
+                if t + m < budget:
+                    alive = True
+                    break
+            now = t + stop
+            add_regime(cur)
+            add_steps(now - stay_t)
+            add_disp(pos - stay_pos)
+            add_exit(code)
+            if code == 0 or now == budget:
+                alive = False
+                m = stop
                 break
-            alive = self._close(t + hit, "down" if down else "up")
+            cur += code
+            stay_t, stay_pos, decide = now, pos, now + refill
+            alive = 0 <= cur < nlaws
             if not alive or hit == m:
                 m = hit
                 break
-            if self.gaussian[self.cur] != self.gaussian[cur]:
+            if self.gaussian[cur] != self.gaussian[cur - code]:
                 # normals and uniforms cannot stand in for each other: the rest
                 # of the block is dropped, and the next block starts small again
                 m, self.grown = hit, 0
                 break
             p = hit
+        self.cur, self.pos, self.stay_t, self.stay_pos, self.decide = cur, pos, stay_t, stay_pos, decide
+        self.ckpt_next = ck
         self.t = t + m
         self.window = actual[m:m + n].copy()
         if self.keep_increments:
@@ -343,35 +405,10 @@ class _Walk:
         ws = c0[n:] - c0[:-n]
         return full, c0, ((ws < lo) | (ws >= hi)).nonzero()[0].tolist()
 
-    def _advance(self, actual: np.ndarray, p: int, stop: int, disp: float) -> None:
-        """Account for the current regime's draws at block positions p..stop-1,
-        already in ``actual[N + p:N + stop]``, which add up to ``disp``."""
-        n, t, times = self.n, self.t, self.ckpt_times
-        while self.ckpt_next < len(times) and times[self.ckpt_next] <= t + stop:
-            k = times[self.ckpt_next] - t
-            self.ckpt_pos.append(self.pos + float(actual[n + p:n + k].sum()))
-            self.ckpt_regime.append(self.cur)
-            # windows before time N are incomplete and average to NaN
-            self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
-            self.ckpt_next += 1
-        self.pos += disp
-
-    def _close(self, now: int, direction: str | None) -> bool:
-        """End the current stay at time ``now``, leaving ``direction`` (None
-        at the horizon), and start the next one; False when the walk ends."""
-        self.stays.append((self.cur, now - self.stay_t, self.pos - self.stay_pos, direction))
-        if direction is None or now == self.budget:
-            return False
-        self.cur += 1 if direction == "up" else -1
-        self.stay_t, self.stay_pos = now, self.pos
-        self.decide = now + (self.n if self.delayed else 1)
-        return 0 <= self.cur < len(self.laws)
-
     def result(self) -> RunResult:
         # a run always ends inside a stay: an exit decided on its last draw
         # would govern a draw that never happens, so that stay is censored
-        *done, (regime, steps, disp, _) = self.stays
-        records = tuple(SojournRecord(*stay) for stay in done) + (SojournRecord(regime, steps, disp, None, True),)
+        self.stay_exits[-1] = 0
         trace = TraceSummary(
             times=np.asarray(self.ckpt_times[: self.ckpt_next], dtype=np.int64),
             positions=np.asarray(self.ckpt_pos),
@@ -385,7 +422,10 @@ class _Walk:
             steps=self.budget,
             position=self.pos,
             window=self.window.copy(),
-            records=records,
+            stay_regimes=np.asarray(self.stay_regimes),
+            stay_steps=np.asarray(self.stay_steps),
+            stay_displacements=np.asarray(self.stay_displacements),
+            stay_exits=np.asarray(self.stay_exits),
             trace=trace,
             increments=incs,
         )
@@ -400,7 +440,7 @@ def run(
     checkpoint_times=None,
     record_increments: bool = False,
 ) -> RunResult:
-    """Simulate ``steps`` draws and return records, trace, final position
+    """Simulate ``steps`` draws and return the stays, trace, final position
     and final window.
 
     ``checkpoint_times`` defaults to ~64 geometrically spaced times in
@@ -447,8 +487,8 @@ def sample_exit(
     # would refill the window after a switch never matters
     walk = _Walk((d,), ((n * r_lo, n * r_hi),), n, True, cap, rng, 0)
     walk.walk()
-    ((_, steps, disp, direction),) = walk.stays
-    return SojournRecord(None, steps, disp, direction, direction is None)
+    (code,) = walk.stay_exits
+    return SojournRecord(None, walk.stay_steps[0], walk.stay_displacements[0], _DIRECTIONS[code], code == 0)
 
 
 class BlockOutcome(Enum):

@@ -15,12 +15,12 @@ from test_report_bytes import cli_argv
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# case -> the counter its sampling layer must make nonzero (None: no sampling)
+# case -> the counters its sampling layer must make nonzero
 COUNTERS = {
-    "simulate": "simulator.run.steps",
-    "exits": "simulator.sample_exit.steps",
-    "blocks": "simulator.sample_block_outcomes.blocks",
-    "predict": None,
+    "simulate": ("simulator.run.steps", "simulator.run.sojourns"),
+    "exits": ("simulator.sample_exit.steps",),
+    "blocks": ("simulator.sample_block_outcomes.blocks",),
+    "predict": (),
 }
 
 
@@ -51,5 +51,5 @@ def test_tracer_finds_every_hook(traces, name):
     assert code == 0, err
     spans = json.loads(spans_path.read_text())
     assert spans["missing"] == []
-    if COUNTERS[name] is not None:
-        assert spans["counts"].get(COUNTERS[name], 0) > 0
+    for counter in COUNTERS[name]:
+        assert spans["counts"].get(counter, 0) > 0, counter

@@ -10,6 +10,7 @@ from histwalk.distributions import (
     Rademacher,
     cgf,
     cgf_derivatives,
+    from_base,
     mean,
     sample,
     sample_mean_sums,
@@ -212,6 +213,15 @@ def test_scalar_sample_matches_vector_mapping():
     assert [sample(fd, r) for _ in range(5)] == [-1.0, 0.0, 0.0, 2.0, 2.0]
     r = Scripted([0.1, 0.25, 0.6, 0.76, 0.9999])
     assert sample_n(fd, 5, r).tolist() == [-1.0, 0.0, 0.0, 2.0, 2.0]
+
+
+def test_inverse_cdf_maps_u_at_the_rounded_total_to_the_top_atom():
+    # these cumulative weights end at 0.9999999999999999, the largest uniform
+    # below 1, which the right-sided search puts past the last atom
+    fd = FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.3, 0.4, 0.2, 0.1))
+    top = np.nextafter(1.0, 0.0)
+    assert fd._cumw[-1] == top
+    assert from_base(fd, np.array([0.0, 0.3, top])).tolist() == [-1.0, 0.0, 2.0]
 
 
 def test_sample_discrete_only_hits_atoms():
