@@ -2,15 +2,21 @@
 
 Everything here consumes a master seed, fans replicas or grid points out over
 independent child streams, and folds results back together in a fixed order,
-so identical inputs give identical reports. Speed runs aggregate per-replica
-terminal averages with batch-means error bars; the grid experiments wrap raw
-counts into slope fits against the matching rate-function values.
+so identical inputs give identical reports. Speed replicas and block-crossing
+grid points run on threads, one per available CPU (numpy's sampling and
+cumsums release the GIL); each keeps its own generator, and the results are
+folded in task order, so reports do not depend on how many CPUs there are.
+Speed runs aggregate per-replica terminal averages with batch-means error
+bars; the grid experiments wrap raw counts into slope fits against the
+matching rate-function values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,79 @@ __all__ = [
 ]
 
 _BATCHES_PER_REPLICA = 32
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, tasks):
+    """Yield ``fn(task)`` for each of ``tasks``, in task order.
+
+    The tasks run on ``min(len(tasks), available CPUs)`` threads, the calling
+    thread among them, each taking the next task not yet started. The caller
+    gets each result once it and every earlier one are done, and runs a task
+    itself only while the next result is not ready, so about one result per
+    thread waits at a time. A failure stops new tasks from starting, and the
+    first failure in task order is re-raised as it was raised. The other
+    threads are daemons: a Ctrl-C, or a caller that stops early, does not
+    wait for the tasks still running.
+    """
+    tasks = list(tasks)
+    threads = min(len(tasks), _available_cpus())
+    if threads <= 1:
+        yield from map(fn, tasks)
+        return
+    done = [threading.Event() for _ in tasks]
+    results = [None] * len(tasks)  # (value, error) of each finished task
+    unstarted = iter(range(len(tasks)))
+    lock = threading.Lock()  # orders each claim against the first failure
+    stopped = False
+
+    def claim() -> int | None:
+        with lock:
+            return None if stopped else next(unstarted, None)
+
+    def stop() -> None:
+        nonlocal stopped
+        with lock:
+            stopped = True
+
+    def work(i: int) -> None:
+        try:
+            results[i] = (fn(tasks[i]), None)
+        except BaseException as err:
+            results[i] = (None, err)
+            stop()
+            if not isinstance(err, Exception):  # Ctrl-C in the caller's own task
+                raise
+        finally:
+            done[i].set()
+
+    def serve() -> None:
+        while (i := claim()) is not None:
+            work(i)
+
+    helpers = [threading.Thread(target=serve, daemon=True) for _ in range(threads - 1)]
+    try:
+        for th in helpers:
+            th.start()
+        for k in range(len(tasks)):
+            while not done[k].is_set() and (i := claim()) is not None:
+                work(i)
+            done[k].wait()
+            value, err = results[k]
+            results[k] = None
+            if err is not None:
+                raise err
+            yield value
+        for th in helpers:
+            th.join()
+    finally:
+        stop()
 
 
 def _check_seed(master_seed: int) -> int:
@@ -122,8 +201,10 @@ def estimate_speed(
     stay_steps: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
     stay_disp: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
 
-    for child in np.random.SeedSequence(master_seed).spawn(replicas):
-        res = run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
+    def replica(child):
+        return run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
+
+    for res in _in_order(replica, np.random.SeedSequence(master_seed).spawn(replicas)):
         total_disp += res.position
         batch_means.append(np.diff(res.trace.positions, prepend=0.0) / np.diff(bounds, prepend=0))
         regimes, exits = res.stay_regimes, res.stay_exits
@@ -340,8 +421,13 @@ def fit_block_exponents(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
     counts = {out: [] for out in (BlockOutcome.UP, BlockOutcome.DOWN, BlockOutcome.BOTH)}
-    for n, child in zip(grid, np.random.SeedSequence(master_seed).spawn(len(grid))):
-        tally = sample_block_outcomes(d, r_lo, r_hi, n, np.random.default_rng(child), samples_per_n)
+
+    def point(task):
+        n, child = task
+        return sample_block_outcomes(d, r_lo, r_hi, n, np.random.default_rng(child), samples_per_n)
+
+    children = np.random.SeedSequence(master_seed).spawn(len(grid))
+    for tally in _in_order(point, zip(grid, children)):
         for out in counts:
             counts[out].append(tally[out])
 
@@ -420,6 +506,7 @@ def fit_exit_statistics(
     mean_stay = np.empty(len(grid))
     se_stay = np.empty(len(grid))
     censored_fracs = []
+    # serial: each stay is a sample_exit call whose Python holds the GIL
     for k, (n, child) in enumerate(zip(grid, np.random.SeedSequence(master_seed).spawn(len(grid)))):
         rng = np.random.default_rng(child)
         stays = []

@@ -1,13 +1,15 @@
 """End-to-end checks of the command-line interface through click's runner."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
+from histwalk import experiments
 from histwalk.cli import load_config, main
 from histwalk.distributions import Gaussian
-from histwalk.errors import ConfigError
+from histwalk.errors import ConfigError, InvalidInputError
 from histwalk.ratefn import RateFunction
 
 L1_DOC = {
@@ -291,6 +293,26 @@ class TestSimulate:
         times = [int(row.split(",")[0]) for row in lines[1:]]
         assert times == sorted(times)
         assert times[-1] == 5000
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(MemoryError, 3, "budget error:"), (InvalidInputError, 2, "usage error:")],
+    )
+    def test_failing_replica_keeps_its_exit_code(self, runner, tmp_path, monkeypatch, error, code, prefix):
+        # two CPUs, so that replicas run on a second thread even on a one-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_run = experiments.run
+
+        def run(spec, version, steps, rng, **kwargs):
+            if rng.bit_generator.seed_seq.spawn_key == (1,):  # the second replica
+                raise error("replica 1 failed")
+            return real_run(spec, version, steps, rng, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", run)
+        res = runner.invoke(main, ["simulate", write_config(tmp_path, L1_DOC), "--replicas", "4"])
+        assert res.exit_code == code
+        assert f"{prefix} replica 1 failed" in res.stderr
+        assert "Traceback" not in res.output
 
     def test_output_is_byte_identical_across_reruns(self, runner, tmp_path):
         path = write_config(tmp_path, L1_DOC)

@@ -7,6 +7,8 @@ one to have installed) cannot creep in unnoticed.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,13 @@ def test_imports_are_declared_dependencies(tree):
         str(path.relative_to(ROOT)): sorted(imported_packages(path) - allowed) for path in files
     }
     assert {path: names for path, names in stray.items() if names} == {}
+
+
+def test_cli_import_loads_no_process_or_executor_machinery():
+    # replicas run on plain threads; these modules would add start-up time
+    # to every command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    probe = "import sys, histwalk.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

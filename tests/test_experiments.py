@@ -9,6 +9,11 @@ Rademacher strings, and the slope fits against closed-form rate values.
 import itertools
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -451,3 +456,146 @@ class TestPersistence:
         a = estimate_persistence_constant(Gaussian(0.5, 1.0), 0.0, 50, 5_000, 3)
         b = estimate_persistence_constant(Gaussian(0.5, 1.0), 0.0, 50, 5_000, 3)
         assert a == b
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs look available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestInOrder:
+    """``_in_order`` runs independent tasks on threads and hands results back
+    in task order, the way the speed and block drivers fold them."""
+
+    def test_results_come_back_in_task_order(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        delays = [0.2, 0.0, 0.1, 0.0, 0.05, 0.0]
+        finished = []
+
+        def nap(k):
+            time.sleep(delays[k])
+            finished.append(k)
+            return k * k
+
+        assert list(experiments._in_order(nap, range(len(delays)))) == [k * k for k in range(6)]
+        assert finished != sorted(finished)  # the tasks did finish out of order
+
+    def test_first_failure_in_task_order_is_reraised(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+
+        def task(k):
+            if k == 1:
+                time.sleep(0.2)
+                raise ValueError("task 1")
+            if k == 2:
+                raise KeyError("task 2")  # fails first, but later in task order
+            return k
+
+        results = experiments._in_order(task, range(4))
+        assert next(results) == 0
+        with pytest.raises(ValueError, match="task 1"):
+            next(results)
+
+    def test_no_task_starts_after_a_failure(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        started = []
+        second = threading.Event()
+
+        def task(k):
+            started.append(k)
+            if k == 1:
+                second.set()
+                time.sleep(0.1)
+            if k == 0:
+                assert second.wait(10)
+                raise ArithmeticError("task 0")
+            return k
+
+        with pytest.raises(ArithmeticError):
+            list(experiments._in_order(task, range(20)))
+        time.sleep(0.3)  # time for the other thread to finish task 1 and look for more
+        assert sorted(started) == [0, 1]
+
+    def test_ctrl_c_does_not_wait_for_running_tasks(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        main = threading.main_thread()
+        release = threading.Event()
+        done_by_main = []
+
+        def task(k):
+            if threading.current_thread() is main:
+                time.sleep(0.02)  # lets the other thread claim a task
+                done_by_main.append(k)
+                return k
+            # the other thread's task: once the caller has run every other
+            # task it must be waiting for this one, so Ctrl-C it there
+            deadline = time.monotonic() + 10
+            while len(done_by_main) < 7 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)
+            signal.pthread_kill(main.ident, signal.SIGINT)
+            release.wait(10)
+            return k
+
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                list(experiments._in_order(task, range(8)))
+            assert time.monotonic() - start < 5
+            assert len(done_by_main) == 7
+        finally:
+            release.set()
+
+    def test_every_task_runs_once_under_fast_thread_switches(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost claim would skip a task or run one twice
+        use_cpus(monkeypatch, 16)
+        runs = [0] * 3000
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+
+            def task(k):
+                runs[k] += 1  # each slot has one writer unless a claim is lost
+                return k
+
+            assert list(experiments._in_order(task, range(len(runs)))) == list(range(len(runs)))
+            assert time.monotonic() - start < 30
+        finally:
+            sys.setswitchinterval(old)
+        assert runs == [1] * len(runs)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert list(experiments._in_order(lambda k: -k, range(5))) == [0, -1, -2, -3, -4]
+
+    def test_cpu_count_stands_in_for_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._available_cpus() == 1
+
+
+class TestReportsDoNotDependOnCpus:
+    @staticmethod
+    def reports():
+        return (
+            estimate_speed(l1_gaussian(), "delayed", 20_000, 4, 5),
+            fit_block_exponents(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 20_000, 3),
+        )
+
+    def test_one_cpu_matches_the_default_and_four_threads(self, monkeypatch):
+        default = self.reports()
+        use_cpus(monkeypatch, 1)
+        one = self.reports()
+        use_cpus(monkeypatch, 4)
+        four = self.reports()
+        assert one == default
+        assert four == default
