@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import click
@@ -279,8 +278,9 @@ def _dump_json(obj) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".histwalk-")
+    # created 0666 less the umask, as open(path, "w") would; mkstemp gives 0600
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".histwalk-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

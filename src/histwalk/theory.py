@@ -157,20 +157,37 @@ def _rate_values(spec: ModelSpec):
     return at_lower, at_upper
 
 
+def _exponents(spec: ModelSpec):
+    """Dominance, (ups, downs), sojourn and invariant exponents, all derived
+    from one evaluation of the rate functions at the thresholds."""
+    at_lower, at_upper = _rate_values(spec)
+    l = spec.l
+    lam = [at_upper[0]]
+    ups: list = [0.0] + [None] * l
+    downs: list = [None] * l + [0.0]
+    sojourn = [at_upper[0]]
+    prefix = 0.0
+    for i in range(1, l):
+        prefix += at_lower[i] - at_upper[i]
+        lam.append(at_upper[i] + prefix)
+        ups[i] = max(at_upper[i] - at_lower[i], 0.0)
+        downs[i] = max(at_lower[i] - at_upper[i], 0.0)
+        sojourn.append(min(at_lower[i], at_upper[i]))
+    lam.append(at_lower[l] + prefix)
+    sojourn.append(at_lower[l])
+    nu = [0.0]
+    for i in range(1, l + 1):
+        nu.append(nu[-1] + downs[i] - ups[i - 1])
+    return tuple(lam), (tuple(ups), tuple(downs)), tuple(sojourn), tuple(nu)
+
+
 def dominance_exponents(spec: ModelSpec) -> tuple[float, ...]:
     """Per-regime exponents whose argmax decides the limiting speed.
 
     Regime 0 carries the cost of climbing out through its upper threshold;
     each further regime adds the net cost imbalance of the rungs below it.
     """
-    at_lower, at_upper = _rate_values(spec)
-    lam = [at_upper[0]]
-    prefix = 0.0
-    for i in range(1, spec.l):
-        prefix += at_lower[i] - at_upper[i]
-        lam.append(at_upper[i] + prefix)
-    lam.append(at_lower[spec.l] + prefix)
-    return tuple(lam)
+    return _exponents(spec)[0]
 
 
 def transition_exponents(spec: ModelSpec) -> tuple[tuple, tuple]:
@@ -180,13 +197,7 @@ def transition_exponents(spec: ModelSpec) -> tuple[tuple, tuple]:
     those directions do not exist. Boundary regimes exit with probability one
     in their single direction, exponent 0.
     """
-    at_lower, at_upper = _rate_values(spec)
-    ups: list = [0.0] + [None] * spec.l
-    downs: list = [None] * spec.l + [0.0]
-    for i in range(1, spec.l):
-        ups[i] = max(at_upper[i] - at_lower[i], 0.0)
-        downs[i] = max(at_lower[i] - at_upper[i], 0.0)
-    return tuple(ups), tuple(downs)
+    return _exponents(spec)[1]
 
 
 def sojourn_exponents(spec: ModelSpec) -> tuple[float, ...]:
@@ -195,12 +206,7 @@ def sojourn_exponents(spec: ModelSpec) -> tuple[float, ...]:
     Interior regimes leave through whichever threshold is cheaper; boundary
     regimes only have one way out.
     """
-    at_lower, at_upper = _rate_values(spec)
-    out = [at_upper[0]]
-    for i in range(1, spec.l):
-        out.append(min(at_lower[i], at_upper[i]))
-    out.append(at_lower[spec.l])
-    return tuple(out)
+    return _exponents(spec)[2]
 
 
 def invariant_exponents(spec: ModelSpec) -> tuple[float, ...]:
@@ -210,11 +216,7 @@ def invariant_exponents(spec: ModelSpec) -> tuple[float, ...]:
     (up probability of the regime below) / (down probability of the regime
     above), whose exponents are already known.
     """
-    ups, downs = transition_exponents(spec)
-    out = [0.0]
-    for i in range(1, spec.l + 1):
-        out.append(out[-1] + downs[i] - ups[i - 1])
-    return tuple(out)
+    return _exponents(spec)[3]
 
 
 def invariant_distribution(up_probs, down_probs) -> tuple[float, ...]:
@@ -297,8 +299,7 @@ def predict_limiting_speed(spec: ModelSpec) -> TheoryReport:
     report = validate(spec)
     if not report.passed:
         raise AssumptionError("; ".join(report.details) or "model failed validation")
-    lam = dominance_exponents(spec)
-    ups, downs = transition_exponents(spec)
+    lam, (ups, downs), sojourn, nu = _exponents(spec)
     warnings: list[str] = []
     top = max(lam)
     argmax = tuple(i for i, v in enumerate(lam) if top - v <= _TIE_TOL)
@@ -310,10 +311,7 @@ def predict_limiting_speed(spec: ModelSpec) -> TheoryReport:
         warnings.append(
             f"dominance exponents tie within {_TIE_TOL} between regimes {list(argmax)}; no speed predicted"
         )
-    per_regime = tuple(
-        RegimeExponents(*exps)
-        for exps in zip(ups, downs, sojourn_exponents(spec), invariant_exponents(spec))
-    )
+    per_regime = tuple(RegimeExponents(*exps) for exps in zip(ups, downs, sojourn, nu))
     return TheoryReport(
         lambdas=lam,
         argmax=argmax,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 from click.testing import CliRunner
@@ -557,6 +558,16 @@ class TestOutputHygiene:
         assert res.exit_code == 0
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".histwalk-")]
         assert leftovers == []
+
+    def test_report_mode_follows_the_umask(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        old = os.umask(0o022)
+        try:
+            res = invoke(runner, ["predict", write_config(tmp_path, L1_DOC), "--output", str(out)])
+        finally:
+            os.umask(old)
+        assert res.exit_code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_unwritable_output_is_usage_error(self, runner, tmp_path):
         res = invoke(

@@ -14,6 +14,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -413,16 +414,26 @@ class TestPersistence:
     def test_profile_stays_positive_at_a_long_horizon(self):
         assert experiments._persistence_profile(Gaussian(0.5, 1.0), 0.0, 64, 20_000, np.random.default_rng(2)) > 0.0
 
-    def test_scripted_paths_survive_exactly_as_enumerated(self, monkeypatch):
-        # chunk cap 4 forces width-1 chunks: 4 paths draw one step each; at
-        # horizon 2 the two survivors draw again
-        monkeypatch.setattr(experiments, "_PERSIST_CHUNK_ELEMENTS", 4)
+    def test_scripted_paths_survive_exactly_as_enumerated(self):
+        # 4 paths draw one step each; at horizon 2 the two survivors draw again
         rng = ScriptedRNG([0.9, 0.9, 0.1, 0.1])
         assert experiments._persistence_profile(Rademacher(0.7), 0.5, 1, 4, rng) == 0.5
         assert rng.consumed == 4
         rng = ScriptedRNG([0.9, 0.9, 0.1, 0.1, 0.1, 0.9])
         assert experiments._persistence_profile(Rademacher(0.7), 0.5, 2, 4, rng) == 0.25
         assert rng.consumed == 6
+
+    def test_memory_is_a_few_arrays_of_samples(self):
+        # running sums, one step's draws and a mask: 20k samples is a few
+        # hundred KiB
+        estimate_persistence_constant(Gaussian(1.0, 1.0), 0.4, 2, 100, 3)  # lazy imports
+        tracemalloc.start()
+        try:
+            estimate_persistence_constant(Gaussian(1.0, 1.0), 0.4, 200, 20_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_long_horizon_estimate_stays_in_the_exact_sandwich(self):
         d = Gaussian(1.0, 1.0)

@@ -83,7 +83,7 @@ DIGESTS = {
     "validate-failing": "8f96c7aac0b6b24ae28c2598cfe7660df7bd43ac1df1e00174865d9c43be2c60",
     "sweep-csv": "0dc84e8924b333a067cd11ad153d548cceccc1a8d9b2a656db310da5497e3722",
     "ratefn": "0c732cafc1dba1c00d26da7f3338d38d57f4ce063f80ecea3e2bcac5fc6a23b4",
-    "persistence": "63a75470f9e4e87500bb42e040da0babecd90143c1317c0c61c77f7588e62a1f",
+    "persistence": "98d046bc6bde9c639a5a42e0893e3c7e7fe231e95dc68bd66c6784f53186cd33",
 }
 
 

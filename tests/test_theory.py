@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher
 from histwalk.errors import AssumptionError, InvalidChainError, InvalidInputError
+from histwalk.ratefn import RateFunction
 from histwalk.theory import (
     ModelSpec,
     dominance_exponents,
@@ -241,6 +242,23 @@ def test_predict_deterministic_and_json_ready():
     assert parsed["per_regime"][1]["down_exp"] == pytest.approx(0.135)
     assert parsed["per_regime"][0]["up_exp"] == 0.0
     assert parsed["per_regime"][0]["down_exp"] is None
+
+
+def test_predict_solves_each_rate_once_per_threshold(monkeypatch):
+    # 2l = 4 (law, threshold) pairs on a 3-law ladder, whatever the number of
+    # exponent families derived from them
+    calls = []
+    solve = RateFunction.solve
+    monkeypatch.setattr(RateFunction, "solve", lambda self, r: calls.append(r) or solve(self, r))
+    lattice = [(0.3, 0.4, 0.2, 0.1), (0.1, 0.2, 0.4, 0.3), (0.05, 0.1, 0.3, 0.55)]
+    spec = ModelSpec(
+        dists=tuple(FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), w) for w in lattice),
+        thresholds=(0.4, 1.3),
+        window=5,
+        initial_regime=0,
+    )
+    predict_limiting_speed(spec)
+    assert len(calls) == 4
 
 
 def test_tie_tolerance_is_respected():
