@@ -19,15 +19,23 @@ walker's memory to a few arrays of one block, each small enough that the
 allocator reuses freed blocks instead of mapping new pages. For each block,
 and for each regime the first time it draws in the block, a lane maps the
 block with that regime's law, takes one cumsum over the actual window
-followed by the mapped draws, and lists the positions where the window sum
-leaves the regime's [lo, hi). A stay's exit is the first listed position at
-or after its first rule evaluation: N draws after a delayed switch, one after
-an instantaneous one, whose first N-1 windows still hold the old law's draws
-and are summed from the actual window instead. Position, checkpoints and
-kept increments are read off the lane cumsums once per stay. Each stay is
-one entry in four typed columns (regime, draws, displacement, exit code), so
-a run holds about 21 bytes per stay, and ``SojournRecord``s are built only
-when a caller asks for them.
+followed by the mapped draws, and lists as Python ints the positions where
+the window sum leaves the regime's [lo, hi) and on which side.
+
+The block is then walked as a chain of passes, one per stay's draws in the
+block. A pass looks up its stay's exit, the first listed position at or
+after its first rule evaluation: N draws after a delayed switch, one after an
+instantaneous one, whose first N-1 windows still hold the old law's draws and
+are summed from the actual window instead. It moves the position by the
+difference of two cumsum entries, read as Python floats through a memoryview,
+and records where it ends, without reading a numpy scalar or copying draws.
+The actual draws are copied from the lanes only where
+something reads them: the head of a lane built mid-block, an instantaneous
+re-entry's windows, the final window, the checkpoints and, when a run keeps
+its increments, the whole block. Each stay is one entry in three typed
+columns (regime, end time, end position), about 20 bytes, and its draws,
+displacement and exit code are the steps between entries, taken once at the
+end of a run; ``SojournRecord``s are built only when a caller asks for them.
 
 The k-th increment of a run maps the k-th base variate of the stream, exactly
 as ``init`` and step_* calls do. The exceptions: a switch between a Gaussian
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -230,21 +238,21 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
-def _straddle(actual: np.ndarray, full: np.ndarray, q: int, p: int, m: int, n: int, lo: float, hi: float):
+def _straddle(actual: np.ndarray, full: np.ndarray, o: int, p: int, m: int, n: int, lo: float, hi: float):
     """The first window sum at block positions p+1..p+N-1 (at most m) outside
     [lo, hi), for a stay that re-enters its regime at ``p`` under the
     instantaneous rule. Those windows still hold draws made before ``p`` by
-    other laws, which the regime's lane, built at ``q`` < ``p``, does not; so
-    the sum rolls from the actual window at ``p`` as the reference's does.
-    Returns the position and the exit code (-1 below ``lo``, +1 at or above
-    ``hi``), or None and 0."""
+    other laws, which the regime's lane, built before ``p``, does not; so the
+    sum rolls from the actual window at ``p`` through the lane's draws
+    ``full[o + p:]``, as the reference's does. Returns the position and
+    whether the sum is at or above ``hi``, or None."""
     window = actual[p:p + n].tolist()
     s = sum(window)
-    for i, x in enumerate(full[n + p - q:n + p - q + min(n - 1, m - p)].tolist()):
+    for i, x in enumerate(full[o + p:o + p + min(n - 1, m - p)].tolist()):
         s += x - window[i]
         if s < lo or s >= hi:
-            return p + 1 + i, -1 if s < lo else 1
-    return None, 0
+            return p + 1 + i, s >= hi
+    return None
 
 
 class _Walk:
@@ -253,13 +261,15 @@ class _Walk:
     Regime i draws ``laws[i]`` and is left when its window sum falls outside
     ``bounds[i]``. The walk ends after ``budget`` draws or when a stay leaves
     the ladder: ``sample_exit`` gives its one law finite bounds, while a
-    run's outer regimes have an infinite side. Position, checkpoints, stays
-    and kept increments are read off the lanes once per stay and block.
+    run's outer regimes have an infinite side. Each block is walked as a
+    chain of passes, one per stay's draws in the block, over plain ints and
+    the Python floats of its lanes' cumsums.
     """
 
     def __init__(self, laws, bounds, n, delayed, budget, rng, regime, checkpoints=(), keep_increments=False):
         self.laws = laws
         self.gaussian = [isinstance(d, Gaussian) for d in laws]
+        self.kinds_differ = len(laws) > 1 and len(set(self.gaussian)) > 1
         self.bounds = bounds
         self.n = n
         self.delayed = delayed
@@ -267,18 +277,19 @@ class _Walk:
         self.rng = rng
         self.cur = regime
         self.t = 0  # draws made before the current block
-        self.pos = 0.0  # position at the start of the current stay segment
+        self.pos = 0.0  # position after those draws
         self.window = np.zeros(n)  # the last N draws before the current block, zeros at first
-        self.stay_t = 0
-        self.stay_pos = 0.0
         self.decide = n  # time of the current stay's next rule evaluation
         self.grown = 0  # the next block is max(64, 2N) << grown draws
-        # one entry per stay ended so far; the exit code is -1 (down), +1 (up)
-        # or 0 (the horizon cut the stay short)
+        # one entry per stay: its regime, and the time and position at which
+        # it ended. Each stay begins where the last one ended and moves to the
+        # next one's regime, or to ``cur`` after the last. While ``going``,
+        # the last entry is the current stay so far, which the next block's
+        # first pass replaces.
         self.stay_regimes = array("i")
-        self.stay_steps = array("q")
-        self.stay_displacements = array("d")
-        self.stay_exits = array("b")
+        self.stay_ends = array("q")
+        self.stay_end_positions = array("d")
+        self.going = False
         self.ckpt_times = [*checkpoints, math.inf]  # the sentinel is never reached
         self.ckpt_next = 0
         self.ckpt_pos: list[float] = []
@@ -297,118 +308,178 @@ class _Walk:
     def _block(self, m: int) -> bool:
         """Draw ``m`` base variates and walk them; False once the walk has ended.
 
-        Each pass handles one stay's draws in the block: the first exit at or
-        after the stay's next evaluation is looked up in its regime's lane,
-        built the first time the regime draws in the block. A stay that
-        starts a block, or builds its lane, reads every window sum off the
-        lane; one that re-enters its regime under the instantaneous rule sums
-        its first N-1 windows by ``_straddle``. The pass then takes the
-        checkpoints up to the exit and, at an exit or the horizon, ends the
-        stay. A switch between a Gaussian and a discrete law drops the rest
-        of the block.
+        Each pass of the chain looks up the first exit at or after the
+        stay's next evaluation in its regime's lane, built the first time
+        the regime draws in the block, and reads the exit's side off the
+        lane too; a stay that re-enters its regime under the instantaneous
+        rule sums its first N-1 windows by ``_straddle`` instead. The pass
+        then moves the position by two of the lane's cumsum entries and
+        appends its stay's entry. A switch between a Gaussian and a discrete
+        law drops the rest of the block. The actual draws are copied from
+        the lanes by ``_fill`` only where they are read: a new lane's head
+        and a straddle's window mid-block, then the final window, the
+        checkpoints and, if kept, the whole block.
         """
-        n, t, budget = self.n, self.t, self.budget
+        n, t, pos0 = self.n, self.t, self.pos
         refill = n if self.delayed else 1  # draws from a switch to the next stay's first evaluation
-        nlaws = len(self.laws)
+        nlaws, gaussian, kinds_differ = len(self.laws), self.gaussian, self.kinds_differ
         z = base_variates(self.laws[self.cur], m, self.rng)
+        # once regime r has drawn in the block, from block position q on,
+        # lanes[r] is (N - q, exits, ups, c0, full), as ``_lane`` describes
         lanes = [None] * nlaws
-        # actual[N + k] is the draw at block position k, after the carried window.
+        # actual[N + b] is the draw at block position b, after the carried window.
         # It is the first lane's ``full``: every other regime writes its draws
-        # over positions at which that lane's law draws nothing.
-        actual = None
-        cur, pos, stay_t, stay_pos, decide = self.cur, self.pos, self.stay_t, self.stay_pos, self.decide
-        times, ck = self.ckpt_times, self.ckpt_next
-        add_regime, add_steps = self.stay_regimes.append, self.stay_steps.append
-        add_disp, add_exit = self.stay_displacements.append, self.stay_exits.append
-        p = 0  # the block position where the current stay's draws in this block begin
+        # over positions at which that lane's law draws nothing, so its reads
+        # need a ``_fill`` only once there is another lane; the block's passes
+        # before stay entry ``filled`` are then copied into it.
+        actual, filled = None, None
+        cur, pos = self.cur, pos0
+        d = self.decide - t  # block position of the current stay's next evaluation
+        # pass k of the block appends the stay entry first + k
+        add_regime, add_end, add_end_pos = self.stay_regimes.append, self.stay_ends.append, self.stay_end_positions.append
+        if self.going:
+            del self.stay_regimes[-1], self.stay_ends[-1], self.stay_end_positions[-1]
+        first = len(self.stay_ends)
+        p = 0  # the block position where the current pass begins
         while True:
-            d = decide - t  # block position of the stay's next evaluation
-            hit, code = None, 0
             lane = lanes[cur]
-            if lane is not None:
-                q, full, c0, exits = lane
-                if d < p + n:  # only under the instantaneous rule
-                    hit, code = _straddle(actual, full, q, p, m, n, *self.bounds[cur])
-                    d = p + n
-            else:
-                q = p
-                window = self.window if actual is None else actual[p:p + n]
-                full, c0, exits = self._lane(cur, window, z[p:])
-                lanes[cur] = q, full, c0, exits
-                if actual is None:
-                    actual = full
-            if hit is None:
-                i = bisect_left(exits, d - q)
-                if i < len(exits):
-                    hit = exits[i] + q
-                    code = -1 if c0[n + hit - q] - c0[hit - q] < self.bounds[cur][0] else 1
-            stop = m if hit is None else hit
-            if actual is not full:
-                actual[n + p:n + stop] = full[n + p - q:n + stop - q]
-            while times[ck] <= t + stop:
-                k = times[ck] - t
-                self.ckpt_pos.append(pos + float(actual[n + p:n + k].sum()))
-                self.ckpt_regime.append(cur)
-                # windows before time N are incomplete and average to NaN
-                self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
-                ck += 1
-            pos += float(c0[n + stop - q] - c0[n + p - q])
-            if hit is None:
-                decide = max(decide, t + m + 1)
-                if t + m < budget:
-                    alive = True
+            found = None
+            look = d  # the first block position the lookup may return
+            if lane is None or d < p + n:
+                if filled is not None:
+                    filled = self._fill(actual, lanes, first, filled, 0, p)
+                if lane is None:
+                    window = self.window if actual is None else actual[p:p + n]
+                    lane = lanes[cur] = self._lane(cur, window, z, p)
+                    if actual is None:
+                        actual = lane[4]
+                    elif filled is None:
+                        filled = len(self.stay_ends)
+                else:  # only under the instantaneous rule
+                    found = _straddle(actual, lane[4], lane[0], p, m, n, *self.bounds[cur])
+                    look = p + n
+            o, exits, ups, c, _ = lane
+            if found is None:
+                hit = exits[bisect_left(exits, look)]
+                if hit > m:  # no exit in the rest of the block
                     break
-            now = t + stop
+                up = ups[hit]
+            else:
+                hit, up = found
+            if hit == m:  # the stay's exit ends the block
+                break
+            pos += c[o + hit] - c[o + p]
             add_regime(cur)
-            add_steps(now - stay_t)
-            add_disp(pos - stay_pos)
-            add_exit(code)
-            if code == 0 or now == budget:
-                alive = False
-                m = stop
+            add_end(t + hit)
+            add_end_pos(pos)
+            cur += 1 if up else -1
+            d = hit + refill
+            if not 0 <= cur < nlaws:  # the stay left the ladder
                 break
-            cur += code
-            stay_t, stay_pos, decide = now, pos, now + refill
-            alive = 0 <= cur < nlaws
-            if not alive or hit == m:
-                m = hit
-                break
-            if self.gaussian[cur] != self.gaussian[cur - code]:
+            if kinds_differ and gaussian[cur] != gaussian[cur - 1 if up else cur + 1]:
                 # normals and uniforms cannot stand in for each other: the rest
                 # of the block is dropped, and the next block starts small again
-                m, self.grown = hit, 0
+                self.grown = 0
                 break
             p = hit
-        self.cur, self.pos, self.stay_t, self.stay_pos, self.decide = cur, pos, stay_t, stay_pos, decide
+        self.going = hit > m
+        if hit >= m:  # the last pass runs to the block's end
+            pos += c[o + m] - c[o + p]
+            add_regime(cur)
+            add_end(t + m)
+            add_end_pos(pos)
+            if hit == m:
+                cur, d = cur + 1 if up else cur - 1, m + refill
+            else:
+                d = max(d, m + 1)
+        else:
+            m = hit
+        if filled is not None:
+            filled = self._fill(actual, lanes, first, filled, 0 if self.keep_increments else m - n, m)
+        times, ck = self.ckpt_times, self.ckpt_next
+        while times[ck] <= t + m:
+            k = times[ck] - t
+            j = bisect_left(self.stay_ends, t + k, first)  # the stay entry of the pass that holds it
+            start = self.stay_ends[j - 1] - t if j > first else 0
+            if filled is not None:
+                self._fill(actual, lanes, first, filled, min(start, k - n), k)
+            self.ckpt_pos.append((self.stay_end_positions[j - 1] if j > first else pos0)
+                                 + float(actual[n + start:n + k].sum()))
+            self.ckpt_regime.append(self.stay_regimes[j])
+            # windows before time N are incomplete and average to NaN
+            self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
+            ck += 1
         self.ckpt_next = ck
+        self.cur, self.decide, self.pos = cur, t + d, pos
         self.t = t + m
-        self.window = actual[m:m + n].copy()
+        self.window = actual[m:m + n]
         if self.keep_increments:
             self.increments.append(actual[n:n + m])
-        return alive
+        return 0 <= cur < nlaws and t + m < self.budget
 
-    def _lane(self, regime: int, window: np.ndarray, z: np.ndarray):
-        """Regime ``regime``'s view of the block from the position ``window`` ends at.
+    def _fill(self, actual: np.ndarray, lanes: list, first: int, filled: int, lo: int, hi: int) -> int:
+        """Bring ``actual`` up to date at block positions [lo, hi), which
+        passes already walked, and return the new ``filled``.
+
+        Pass k of the block is stay entry first + k: it ran to block position
+        ``stay_ends[first + k] - t``, from where the pass before it ended (or
+        from 0), in regime ``stay_regimes[first + k]``, whose lane holds its
+        draws; ``actual``, the first lane's ``full``, holds those of its own
+        already. The passes before entry ``filled`` are copied, so a range
+        that starts in them moves ``filled`` on to its end, and one past them
+        copies its own passes alone.
+        """
+        n, t, ends, regimes = self.n, self.t, self.stay_ends, self.stay_regimes
+        k = max(bisect_right(ends, t + lo, first), filled) if lo > 0 else filled
+        onward = k == filled
+        a = ends[k - 1] - t if k > first else 0
+        while k < len(ends) and a < hi:
+            b = ends[k] - t
+            o, _, _, _, full = lanes[regimes[k]]
+            if full is not actual:
+                actual[n + a:n + b] = full[o + a:o + b]
+            k, a = k + 1, b
+        return k if onward else filled
+
+    def _lane(self, regime: int, window: np.ndarray, z: np.ndarray, q: int):
+        """Regime ``regime``'s lane: its view of the block from position ``q``,
+        where ``window`` ends, as ``(N - q, exits, ups, c0, full)``.
 
         ``full`` is ``window``, the actual last N draws (zeros before time
-        N), followed by the regime's law mapped over ``z``; ``c0`` is its
-        zero-prefixed cumsum, so ``c0[N + j] - c0[j]`` is the window sum
-        after j more draws of that law. ``exits`` lists the j at which that
-        sum leaves the regime's [lo, hi), ascending.
+        N), followed by the regime's law mapped over ``z[q:]``, and ``c0`` is
+        its zero-prefixed cumsum as a memoryview of floats. So the draw at
+        block position b is ``full[N - q + b]``, and the sum of the N draws
+        before it is ``c0[N - q + b] - c0[b - q]``. ``exits`` lists, ascending,
+        the block positions from q on at which that sum leaves the regime's
+        [lo, hi), and ``ups[b]`` is 1 where it is at or above hi. A last exit
+        at m + N + 1, for a block of m draws, stands for none: a stay's next
+        evaluation is at most N past the block's end.
         """
-        n, k = self.n, len(z)
+        n, m = self.n, len(z)
         lo, hi = self.bounds[regime]
-        full = np.concatenate((window, from_base(self.laws[regime], z)))
-        c0 = np.empty(n + k + 1)
+        full = np.concatenate((window, from_base(self.laws[regime], z[q:])))
+        c0 = np.empty(n + m - q + 1)
         c0[0] = 0.0
         full.cumsum(out=c0[1:])
         ws = c0[n:] - c0[:-n]
-        return full, c0, ((ws < lo) | (ws >= hi)).nonzero()[0].tolist()
+        up = ws >= hi
+        out = ws < lo
+        out |= up
+        exits = out.nonzero()[0]
+        if q:
+            exits += q
+        exits = exits.tolist()
+        exits.append(m + n + 1)
+        return n - q, exits, bytes(q) + up.tobytes(), c0.data, full
 
     def result(self) -> RunResult:
+        # each stay's draws and displacement are the steps between stay ends,
+        # and its exit code the step to the next stay's regime
+        regimes = np.asarray(self.stay_regimes)
+        exits = np.diff(regimes, append=self.cur).astype(np.int8)
         # a run always ends inside a stay: an exit decided on its last draw
         # would govern a draw that never happens, so that stay is censored
-        self.stay_exits[-1] = 0
+        exits[-1] = 0
         trace = TraceSummary(
             times=np.asarray(self.ckpt_times[: self.ckpt_next], dtype=np.int64),
             positions=np.asarray(self.ckpt_pos),
@@ -422,10 +493,10 @@ class _Walk:
             steps=self.budget,
             position=self.pos,
             window=self.window.copy(),
-            stay_regimes=np.asarray(self.stay_regimes),
-            stay_steps=np.asarray(self.stay_steps),
-            stay_displacements=np.asarray(self.stay_displacements),
-            stay_exits=np.asarray(self.stay_exits),
+            stay_regimes=regimes,
+            stay_steps=np.diff(np.asarray(self.stay_ends), prepend=0),
+            stay_displacements=np.diff(np.asarray(self.stay_end_positions), prepend=0.0),
+            stay_exits=exits,
             trace=trace,
             increments=incs,
         )
@@ -487,8 +558,9 @@ def sample_exit(
     # would refill the window after a switch never matters
     walk = _Walk((d,), ((n * r_lo, n * r_hi),), n, True, cap, rng, 0)
     walk.walk()
-    (code,) = walk.stay_exits
-    return SojournRecord(None, walk.stay_steps[0], walk.stay_displacements[0], _DIRECTIONS[code], code == 0)
+    # the walk ends with its one stay, which began at time 0 and position 0
+    code = walk.cur - walk.stay_regimes[0]
+    return SojournRecord(None, walk.stay_ends[0], walk.stay_end_positions[0], _DIRECTIONS[code], code == 0)
 
 
 class BlockOutcome(Enum):

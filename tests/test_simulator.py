@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -299,9 +300,11 @@ def test_run_is_the_reference_at_block_edges(kind, version, n, gap, i0, edge, of
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
-@pytest.mark.parametrize("ladder", ["gaussian-l1", "integer-atoms"])
+@pytest.mark.parametrize("ladder", ["gaussian-l1", "gaussian-l2", "integer-atoms"])
 def test_run_is_the_reference_in_blocks_at_the_cap(ladder, version):
-    # two full blocks at the cap and part of a third, with switches throughout
+    # two full blocks at the cap and part of a third, with switches throughout;
+    # gaussian-l2's middle regime exits both ways, and its outer regimes often
+    # build their lanes mid-block
     spec = LADDERS[ladder]
     steps = block_edges(spec.window, 11)[10] + 1000
     assert steps - block_edges(spec.window, 9)[8] > 2 * simulator._BLOCK_CAP
@@ -353,14 +356,15 @@ def test_run_memory_is_a_few_blocks():
     assert peak < 2 * 2**20
 
 
-def test_run_memory_per_stay_is_a_few_typed_entries():
+@pytest.mark.parametrize("version", ["delayed", "instantaneous"])
+def test_run_memory_per_stay_is_a_few_typed_entries(version):
     # a switchy run keeps each stay as four typed column entries, about 21
     # bytes, not as a record object plus a tuple, about 250
     spec = LADDERS["gaussian-l1"]
-    run(spec, "delayed", 100_000, AnyRng(0))  # lazy imports are not the walker's memory
+    run(spec, version, 100_000, AnyRng(0))  # lazy imports are not the walker's memory
     tracemalloc.start()
     try:
-        res = run(spec, "delayed", 1_000_000, AnyRng(1))
+        res = run(spec, version, 1_000_000, AnyRng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,6 +388,55 @@ def test_run_stay_columns_are_the_records(ladder, version):
         assert rec.regime == regimes[k] and rec.steps == steps[k] and rec.displacement == disps[k]
         assert rec.exit_direction == {-1: "down", 0: None, 1: "up"}[exits[k]]
         assert rec.censored == (exits[k] == 0)
+
+
+EXIT_LAW = FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.1, 0.2, 0.4, 0.3))
+
+# SHA-256 of every float and integer a run returns, pinned so that a change to
+# the engine that moves a single last digit (of a stay's displacement, a
+# checkpoint position or a window average) shows; the report digests cannot
+# see such a drift in columns a report does not print
+PINNED_ENGINE_DIGESTS = {
+    "gaussian-l1/delayed": "bb1a2397adb3a5986afd8886d077d41ac0ced218bc4e682bdfabcbf9cc362441",
+    "gaussian-l1/instantaneous": "4419c9a324fb054e4049033318c2514f87c3dfb9a389c0367b7f188fc3f2967b",
+    "gaussian-l2/delayed": "19cc8ff7bffe503365bc2984a9ddd82470397d1f0a06aed0362d12fd36ec9d77",
+    "gaussian-l2/instantaneous": "1a661db5602750eb3f527de4f3b278cbc6c815b3fb2eed21777bbb796a5319a2",
+    "integer-atoms/delayed": "fe3c638380ff14d956d5b13c40f8b9ee05ec4b90624f73a6720b8b8a098cc81c",
+    "integer-atoms/instantaneous": "1a8d88b5292abc4cad0de52d31c4ca820fb991a30aa35352cfac767fc4acde18",
+    "exit-stays/N=10": "e0fc4c79be327c783ed9c00cbea363793b0c851002221c5dc864f93894b84d40",
+    "exit-stays/N=20": "2600d0384592df2d2f65b7e6f2a0e2e467e9e5ef276f740113c3b392198af9ae",
+    "exit-stays/N=30": "a2b5bd5b3a53f79603cb9f73774108bae4fc5272d04096eb1b19e8323a8b7aad",
+}
+
+
+def run_digest(res):
+    h = hashlib.sha256()
+    cols = (res.increments, res.stay_regimes, res.stay_steps, res.stay_displacements, res.stay_exits)
+    trace = (res.trace.times, res.trace.positions, res.trace.regimes, res.trace.window_avgs)
+    for col in (*cols, np.float64(res.position), res.window, *trace):
+        h.update(np.ascontiguousarray(col).tobytes())
+    return h.hexdigest()
+
+
+def test_run_outputs_match_pinned_digest():
+    # gaussian-l1 at 40k steps spans several blocks at the 2^13 cap with about
+    # 100 stays each; a checkpoint every 7 steps lands inside refills and
+    # straddles; the exit stays are one-stay walks on the exit-stays law
+    got = {}
+    for ladder in ("gaussian-l1", "gaussian-l2", "integer-atoms"):
+        for version in ("delayed", "instantaneous"):
+            res = run(
+                LADDERS[ladder], version, 40_000, AnyRng(11),
+                checkpoint_times=range(1, 40_001, 7), record_increments=True,
+            )
+            got[f"{ladder}/{version}"] = run_digest(res)
+    for n in (10, 20, 30):
+        rng, h = AnyRng(n), hashlib.sha256()
+        for _ in range(300):
+            rec = sample_exit(EXIT_LAW, 0.4, 1.3, n, rng)
+            h.update(repr((rec.steps, rec.displacement.hex(), rec.exit_direction, rec.censored)).encode())
+        got[f"exit-stays/N={n}"] = h.hexdigest()
+    assert got == PINNED_ENGINE_DIGESTS
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
