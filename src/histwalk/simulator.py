@@ -281,15 +281,13 @@ class _Walk:
         self.window = np.zeros(n)  # the last N draws before the current block, zeros at first
         self.decide = n  # time of the current stay's next rule evaluation
         self.grown = 0  # the next block is max(64, 2N) << grown draws
-        # one entry per stay: its regime, and the time and position at which
-        # it ended. Each stay begins where the last one ended and moves to the
-        # next one's regime, or to ``cur`` after the last. While ``going``,
-        # the last entry is the current stay so far, which the next block's
-        # first pass replaces.
+        # one entry per stay ended so far: its regime, and the time and
+        # position at which it ended. Each stay begins where the last one
+        # ended and moves to the next one's regime, or to ``cur`` after the
+        # last; the walk's last stay ends with the walk.
         self.stay_regimes = array("i")
         self.stay_ends = array("q")
         self.stay_end_positions = array("d")
-        self.going = False
         self.ckpt_times = [*checkpoints, math.inf]  # the sentinel is never reached
         self.ckpt_next = 0
         self.ckpt_pos: list[float] = []
@@ -313,12 +311,12 @@ class _Walk:
         the regime draws in the block, and reads the exit's side off the
         lane too; a stay that re-enters its regime under the instantaneous
         rule sums its first N-1 windows by ``_straddle`` instead. The pass
-        then moves the position by two of the lane's cumsum entries and
-        appends its stay's entry. A switch between a Gaussian and a discrete
-        law drops the rest of the block. The actual draws are copied from
-        the lanes by ``_fill`` only where they are read: a new lane's head
-        and a straddle's window mid-block, then the final window, the
-        checkpoints and, if kept, the whole block.
+        then moves the position by two of the lane's cumsum entries and, if
+        its stay ends, appends the stay's entry. A switch between a Gaussian
+        and a discrete law drops the rest of the block. The actual draws are
+        copied from the lanes by ``_fill`` only where they are read: a new
+        lane's head and a straddle's window mid-block, then the final
+        window, the checkpoints and, if kept, the whole block.
         """
         n, t, pos0 = self.n, self.t, self.pos
         refill = n if self.delayed else 1  # draws from a switch to the next stay's first evaluation
@@ -335,10 +333,8 @@ class _Walk:
         actual, filled = None, None
         cur, pos = self.cur, pos0
         d = self.decide - t  # block position of the current stay's next evaluation
-        # pass k of the block appends the stay entry first + k
+        # pass k of the block appends the stay entry first + k when its stay ends
         add_regime, add_end, add_end_pos = self.stay_regimes.append, self.stay_ends.append, self.stay_end_positions.append
-        if self.going:
-            del self.stay_regimes[-1], self.stay_ends[-1], self.stay_end_positions[-1]
         first = len(self.stay_ends)
         p = 0  # the block position where the current pass begins
         while True:
@@ -382,12 +378,15 @@ class _Walk:
                 self.grown = 0
                 break
             p = hit
-        self.going = hit > m
+        tail = None  # the regime of the block's last pass while its stay goes on
         if hit >= m:  # the last pass runs to the block's end
             pos += c[o + m] - c[o + p]
-            add_regime(cur)
-            add_end(t + m)
-            add_end_pos(pos)
+            if hit == m or t + m == self.budget:
+                add_regime(cur)
+                add_end(t + m)
+                add_end_pos(pos)
+            else:
+                tail = cur
             if hit == m:
                 cur, d = cur + 1 if up else cur - 1, m + refill
             else:
@@ -395,17 +394,17 @@ class _Walk:
         else:
             m = hit
         if filled is not None:
-            filled = self._fill(actual, lanes, first, filled, 0 if self.keep_increments else m - n, m)
+            filled = self._fill(actual, lanes, first, filled, 0 if self.keep_increments else m - n, m, tail)
         times, ck = self.ckpt_times, self.ckpt_next
         while times[ck] <= t + m:
             k = times[ck] - t
             j = bisect_left(self.stay_ends, t + k, first)  # the stay entry of the pass that holds it
             start = self.stay_ends[j - 1] - t if j > first else 0
             if filled is not None:
-                self._fill(actual, lanes, first, filled, min(start, k - n), k)
+                self._fill(actual, lanes, first, filled, min(start, k - n), k, tail)
             self.ckpt_pos.append((self.stay_end_positions[j - 1] if j > first else pos0)
                                  + float(actual[n + start:n + k].sum()))
-            self.ckpt_regime.append(self.stay_regimes[j])
+            self.ckpt_regime.append(self.stay_regimes[j] if j < len(self.stay_regimes) else tail)
             # windows before time N are incomplete and average to NaN
             self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
             ck += 1
@@ -417,7 +416,7 @@ class _Walk:
             self.increments.append(actual[n:n + m])
         return 0 <= cur < nlaws and t + m < self.budget
 
-    def _fill(self, actual: np.ndarray, lanes: list, first: int, filled: int, lo: int, hi: int) -> int:
+    def _fill(self, actual: np.ndarray, lanes: list, first: int, filled: int, lo: int, hi: int, tail: int | None = None) -> int:
         """Bring ``actual`` up to date at block positions [lo, hi), which
         passes already walked, and return the new ``filled``.
 
@@ -425,9 +424,11 @@ class _Walk:
         ``stay_ends[first + k] - t``, from where the pass before it ended (or
         from 0), in regime ``stay_regimes[first + k]``, whose lane holds its
         draws; ``actual``, the first lane's ``full``, holds those of its own
-        already. The passes before entry ``filled`` are copied, so a range
-        that starts in them moves ``filled`` on to its end, and one past them
-        copies its own passes alone.
+        already. After them, a pass whose stay goes on into the next block
+        has no entry yet and runs to the block's end in regime ``tail``. The
+        passes before entry ``filled`` are copied, so a range that starts in
+        them moves ``filled`` on to its end, and one past them copies its own
+        passes alone.
         """
         n, t, ends, regimes = self.n, self.t, self.stay_ends, self.stay_regimes
         k = max(bisect_right(ends, t + lo, first), filled) if lo > 0 else filled
@@ -439,6 +440,10 @@ class _Walk:
             if full is not actual:
                 actual[n + a:n + b] = full[o + a:o + b]
             k, a = k + 1, b
+        if tail is not None and a < hi:
+            o, _, _, _, full = lanes[tail]
+            if full is not actual:
+                actual[n + a:n + hi] = full[o + a:o + hi]
         return k if onward else filled
 
     def _lane(self, regime: int, window: np.ndarray, z: np.ndarray, q: int):
@@ -470,7 +475,10 @@ class _Walk:
             exits += q
         exits = exits.tolist()
         exits.append(m + n + 1)
-        return n - q, exits, bytes(q) + up.tobytes(), c0.data, full
+        ups = up.tobytes()
+        if q:
+            ups = bytes(q) + ups
+        return n - q, exits, ups, c0.data, full
 
     def result(self) -> RunResult:
         # each stay's draws and displacement are the steps between stay ends,
