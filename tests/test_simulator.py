@@ -358,7 +358,7 @@ def test_run_memory_is_a_few_blocks():
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])
 def test_run_memory_per_stay_is_a_few_typed_entries(version):
-    # a switchy run keeps each stay as four typed column entries, about 21
+    # a switchy run keeps each stay as three typed column entries, about 20
     # bytes, not as a record object plus a tuple, about 250
     spec = LADDERS["gaussian-l1"]
     run(spec, version, 100_000, AnyRng(0))  # lazy imports are not the walker's memory
