@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -37,23 +37,13 @@ from .experiments import (
     sweep_window,
 )
 from .ratefn import RateFunction
+from .simulator import VERSIONS
 from .simulator import run as run_walk
 from .theory import ModelSpec, predict_limiting_speed, threshold_bounds
 from .theory import validate as validate_model
 
 _MODEL_KEYS = {"dists", "thresholds", "window", "initial_regime"}
-_RUN_KEYS = {
-    "version", "steps", "replicas", "seed", "n_grid", "samples", "cap",
-    "horizon", "r", "r_lo", "r_hi",
-}
-_DIST_FIELDS = {
-    "gaussian": {"mu", "sigma2"},
-    "rademacher": {"p"},
-    "finite_discrete": {"atoms", "weights"},
-}
 _DIST_LAWS = {"gaussian": Gaussian, "rademacher": Rademacher, "finite_discrete": FiniteDiscrete}
-_INT_RUN_KEYS = ("steps", "replicas", "seed", "samples", "cap", "horizon")
-_FLOAT_RUN_KEYS = ("r", "r_lo", "r_hi")
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -66,16 +56,18 @@ def _build_dist(obj, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     kind = obj.get("kind")
-    if kind not in _DIST_FIELDS:
-        raise ConfigError(f"{where}: kind must be one of {sorted(_DIST_FIELDS)}, got {kind!r}")
-    _reject_unknown(obj, _DIST_FIELDS[kind] | {"kind"}, where)
-    missing = sorted(_DIST_FIELDS[kind] - set(obj))
+    if kind not in _DIST_LAWS:
+        raise ConfigError(f"{where}: kind must be one of {sorted(_DIST_LAWS)}, got {kind!r}")
+    law = _DIST_LAWS[kind]
+    names = {f.name for f in fields(law) if f.init}
+    _reject_unknown(obj, names | {"kind"}, where)
+    missing = sorted(names - set(obj))
     if missing:
         raise ConfigError(f"{where} is missing {missing}")
-    read = _numbers if kind == "finite_discrete" else _number
-    fields = {key: read(obj, key, where) for key in sorted(_DIST_FIELDS[kind])}
+    read = _numbers if law is FiniteDiscrete else _number
+    values = {name: read(obj, name, where) for name in sorted(names)}
     try:
-        return _DIST_LAWS[kind](**fields)
+        return law(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -107,23 +99,21 @@ def _numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+# each run key, in the order checked: what its value must be, and the test of it
+_RUN_KEYS = {
+    "version": (" or ".join(map(repr, VERSIONS)), VERSIONS.__contains__),
+    **dict.fromkeys(("steps", "replicas", "seed", "samples", "cap", "horizon"), ("an integer", _is_int)),
+    **dict.fromkeys(("r", "r_lo", "r_hi"), ("a number", _is_number)),
+    "n_grid": ("a list of integers", lambda value: isinstance(value, list) and all(map(_is_int, value))),
+}
+
+
 def _check_run_section(run_cfg: dict) -> None:
-    _reject_unknown(run_cfg, _RUN_KEYS, "run")
-    version = run_cfg.get("version")
-    if version is not None and version not in ("delayed", "instantaneous"):
-        raise ConfigError(f"run.version must be 'delayed' or 'instantaneous', got {version!r}")
-    for key in _INT_RUN_KEYS:
+    _reject_unknown(run_cfg, set(_RUN_KEYS), "run")
+    for key, (what, ok) in _RUN_KEYS.items():
         value = run_cfg.get(key)
-        if value is not None and not _is_int(value):
-            raise ConfigError(f"run.{key} must be an integer, got {value!r}")
-    for key in _FLOAT_RUN_KEYS:
-        value = run_cfg.get(key)
-        if value is not None and not _is_number(value):
-            raise ConfigError(f"run.{key} must be a number, got {value!r}")
-    grid = run_cfg.get("n_grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not all(_is_int(n) for n in grid):
-            raise ConfigError(f"run.n_grid must be a list of integers, got {grid!r}")
+        if value is not None and not ok(value):
+            raise ConfigError(f"run.{key} must be {what}, got {value!r}")
 
 
 def load_config(path: str) -> tuple[ModelSpec, dict]:
@@ -303,7 +293,7 @@ def _emit(text: str, output: str | None, summaries=()) -> None:
 _dist_option = click.option("--dist", "dist_index", type=int, required=True, help="regime index into model.dists")
 _seed_option = click.option("--seed", type=int, default=None, help="master seed; mandatory, never defaulted")
 _n_grid_option = click.option("--n-grid", "n_grid", type=str, default=None, help="comma-separated window sizes")
-_version_option = click.option("--version", type=click.Choice(["delayed", "instantaneous"]), default=None)
+_version_option = click.option("--version", type=click.Choice(VERSIONS), default=None)
 _output_option = click.option("--output", type=click.Path(), default=None)
 
 

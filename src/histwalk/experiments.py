@@ -56,19 +56,16 @@ def _in_order(fn, tasks):
     """Yield ``fn(task)`` for each of ``tasks``, in task order.
 
     The tasks run on ``min(len(tasks), available CPUs)`` threads, the calling
-    thread among them, each taking the next task not yet started. The caller
-    gets each result once it and every earlier one are done, and runs a task
-    itself only while the next result is not ready, so about one result per
-    thread waits at a time. A failure stops new tasks from starting, and the
-    first failure in task order is re-raised as it was raised. The other
-    threads are daemons: a Ctrl-C, or a caller that stops early, does not
-    wait for the tasks still running.
+    thread among them (so one CPU starts no thread), each taking the next task
+    not yet started. The caller gets each result once it and every earlier one
+    are done, and runs a task itself only while the next result is not ready,
+    so about one result per thread waits at a time. A failure stops new tasks
+    from starting, and the first failure in task order is re-raised as it was
+    raised. The other threads are daemons: a Ctrl-C, or a caller that stops
+    early, does not wait for the tasks still running.
     """
     tasks = list(tasks)
     threads = min(len(tasks), _available_cpus())
-    if threads <= 1:
-        yield from map(fn, tasks)
-        return
     done = [threading.Event() for _ in tasks]
     results = [None] * len(tasks)  # (value, error) of each finished task
     unstarted = iter(range(len(tasks)))

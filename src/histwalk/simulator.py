@@ -77,6 +77,7 @@ from .errors import InvalidInputError
 from .theory import ModelSpec, threshold_bounds
 
 __all__ = [
+    "VERSIONS",
     "WalkState",
     "SojournRecord",
     "TraceSummary",
@@ -101,7 +102,8 @@ _RESUM_INTERVAL = 1 << 20
 # doubles, or 2N when one block alone exceeds the cap.
 _BLOCK_CAP = 1 << 13
 
-_VERSIONS = ("delayed", "instantaneous")
+# the two switching rules, delayed first, by the names that configs and the CLI use
+VERSIONS = ("delayed", "instantaneous")
 
 
 @dataclass
@@ -179,9 +181,10 @@ class RunResult:
 
 
 def _check_version(version: str) -> bool:
-    if version not in _VERSIONS:
-        raise InvalidInputError(f"version must be one of {_VERSIONS}, got {version!r}")
-    return version == "delayed"
+    """Whether ``version`` is the delayed rule; any name not in ``VERSIONS`` is an error."""
+    if version not in VERSIONS:
+        raise InvalidInputError(f"version must be one of {VERSIONS}, got {version!r}")
+    return version == VERSIONS[0]
 
 
 def init(spec: ModelSpec, rng) -> WalkState:

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from histwalk import experiments
-from histwalk.cli import load_config, main
+from histwalk.cli import _RUN_KEYS, load_config, main
 from histwalk.distributions import Gaussian
 from histwalk.errors import ConfigError, InvalidInputError
 from histwalk.ratefn import RateFunction
@@ -177,6 +177,11 @@ class TestLoadConfig:
         res = runner.invoke(main, ["predict", path])
         assert res.exit_code == 2
         assert f"unknown keys ['{key}'] in run" in res.stderr
+
+    def test_every_run_key_is_a_flag(self):
+        # the README's promise: each run key can also be given as the flag of the same name
+        flags = {opt for cmd in main.commands.values() for param in cmd.params for opt in param.opts}
+        assert {"--" + key.replace("_", "-") for key in _RUN_KEYS} <= flags
 
     def test_nan_weight_is_a_config_error(self, runner, tmp_path):
         # json.load reads the NaN literal that json.dumps writes

@@ -41,6 +41,16 @@ LATTICE_LADDER = {
     },
     "run": {"version": "instantaneous", "seed": 12},
 }
+# Rademacher(0.3)/(0.7): no other case reads a Rademacher law, so these pin
+# its bytes, including the exact -0.4 of its mean
+RADEMACHER_LADDER = {
+    "model": {
+        "dists": [{"kind": "rademacher", "p": 0.3}, {"kind": "rademacher", "p": 0.7}],
+        "thresholds": [-0.1],
+        "window": 5,
+    },
+    "run": {"version": "delayed", "seed": 13},
+}
 # means 0.1 and 1.45 do not interlace threshold 2.5, which no atom reaches
 FAILING_LADDER = {
     "model": {
@@ -61,6 +71,9 @@ CASES = {
     "blocks": (TWO_GAUSSIANS, ["blocks", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6",
                                "--n-grid", "4,6,8", "--samples", "3000", "--output", "OUT"]),
     "predict": (LATTICE_LADDER, ["predict", "--output", "OUT"]),
+    "predict-rademacher": (RADEMACHER_LADDER, ["predict", "--output", "OUT"]),
+    "simulate-rademacher": (RADEMACHER_LADDER, ["simulate", "--steps", "6000", "--replicas", "2",
+                                                "--output", "OUT"]),
     "validate": (LATTICE_LADDER, ["validate"]),
     "validate-failing": (FAILING_LADDER, ["validate"]),
     "sweep-csv": (TWO_GAUSSIANS, ["sweep", "--n-grid", "3,5", "--steps", "4000", "--replicas", "2",
@@ -79,6 +92,8 @@ DIGESTS = {
     "exits": "07208d3c454362296a1b3fd2cca548f88b4ca384bbed6ca4ba2a382b70f84624",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
+    "predict-rademacher": "4c6cf67cfa91b34d89050411e22663c65e0ca994cb6924d3728538fb9683f943",
+    "simulate-rademacher": "abd57ca5c9bdec813e7e863b9b17b964d1babf791b892addb178c13f7a34a693",
     "validate": "bb78bbc66b028f43ae11335e5871e24cffad78c8b0ebbed59af4d9420f6fb212",
     "validate-failing": "8f96c7aac0b6b24ae28c2598cfe7660df7bd43ac1df1e00174865d9c43be2c60",
     "sweep-csv": "0dc84e8924b333a067cd11ad153d548cceccc1a8d9b2a656db310da5497e3722",

@@ -233,6 +233,28 @@ def test_run_is_the_reference_draw_for_draw(ladder, version):
     assert switches > 20 * 10
 
 
+DECIMAL_ATOMS = ModelSpec(
+    dists=(FiniteDiscrete((-0.3, 0.1, 0.7), (0.5, 0.3, 0.2)), FiniteDiscrete((-0.3, 0.1, 0.7), (0.2, 0.3, 0.5))),
+    thresholds=(0.1,), window=3, initial_regime=0,
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a window sum such as 0.1+0.1+0.1 that ties 3*0.1 only up to rounding "
+    "is decided differently by the engine and the reference; remove this marker once decisions "
+    "use exact integer sums",
+)
+@pytest.mark.parametrize("version", ["delayed", "instantaneous"])
+def test_run_is_the_reference_on_decimal_atoms(version):
+    # the integer-atoms ladder scaled by 0.1: ties are exact there, rounded here
+    for seed in range(20):
+        res = run(DECIMAL_ATOMS, version, 2000, AnyRng(seed), record_increments=True)
+        incs, _ = reference_path(DECIMAL_ATOMS, version, 2000, AnyRng(seed))
+        assert np.array_equal(res.increments, incs), f"seed={seed}"
+
+
 def test_run_mixed_ladder_drops_carried_variates_of_the_other_kind():
     # normals left over from the Gaussian regime must not be read as the
     # uniforms of the two-atom law, nor uniforms as normals
