@@ -45,15 +45,24 @@ waste only the rest of small blocks; and a window sum that ties a threshold
 only up to rounding may be decided differently, as the two add in other
 orders.
 
-``run`` and ``sample_exit`` are the same walk, so a fresh stay and a run's
+``sample_exit`` walks ``count`` fresh stays as the rows of one block
+schedule. Every stay starts at time 0, so the rows whose stays go on share
+round k's block of ``max(64, 2N) << k`` draws, capped at 2^13 and at the
+remaining budget, and the round draws the next (rows x block) base variates,
+row-major, in stay order. It takes them in slices of at most 2^13 elements
+(one row at least): a slice maps its draws, takes a cumsum along rows over
+the carried windows, and finds each row's first window sum outside [lo, hi)
+from the stay's first evaluation (time N) on with one argmax; the rows whose
+stays end in the block retire, leaving the rest of it unused. Consecutive
+slices use the stream as one would, so the stays do not depend on the slice
+size. With one row this is ``run``'s schedule, so a fresh stay and a run's
 first sojourn from the same seed make the same draws. They differ only at the
 horizon: ``run`` censors a stay whose exit is decided on its last draw,
 because that decision would govern a draw that never happens, while
-``sample_exit`` counts an exit on its cap-th draw. A ``sample_exit`` stay
-leaves the rest of its last block unused, so the blocks it draws set where
-the next stay's draws begin. The 2^13 cap first shortens the block that
-starts 6,150 to 16,320 draws into the walk for N <= 2048, 4,098 to 8,192
-draws in for 2048 < N <= 4096, and the first block when N > 4096.
+``sample_exit`` counts an exit on its cap-th draw. The 2^13 cap first
+shortens the block that starts 6,150 to 16,320 draws into the walk for
+N <= 2048, 4,098 to 8,192 draws in for 2048 < N <= 4096, and the first block
+when N > 4096.
 
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
@@ -82,6 +91,7 @@ __all__ = [
     "SojournRecord",
     "TraceSummary",
     "RunResult",
+    "ExitSample",
     "BlockOutcome",
     "init",
     "step_delayed",
@@ -94,12 +104,13 @@ __all__ = [
 # rolling window sums are refreshed by exact recomputation this often
 _RESUM_INTERVAL = 1 << 20
 
-# the largest block of base variates, for the block walker and for the batches
-# of fresh blocks alike. Each block array must stay under glibc's 128 KiB mmap
-# threshold, so that a freed one is reused from the heap instead of being
-# unmapped and faulted in again. The walker's largest, c0, holds N + 2^13 + 1
-# doubles, which fit for N below about 8k; a batch's c0 holds at most 2^13
-# doubles, or 2N when one block alone exceeds the cap.
+# the largest block of base variates, for the block walker, the slices of
+# fresh stays and the batches of fresh blocks alike. Each block array must
+# stay under glibc's 128 KiB mmap threshold, so that a freed one is reused from
+# the heap instead of being unmapped and faulted in again. The walker's
+# largest, c0, holds N + 2^13 + 1 doubles, which fit for N below about 8k; a
+# slice's or a batch's c0 holds at most 2^13 doubles, or one row's N + m + 1
+# or 2N when that row alone exceeds the cap.
 _BLOCK_CAP = 1 << 13
 
 # the two switching rules, delayed first, by the names that configs and the CLI use
@@ -178,6 +189,22 @@ class RunResult:
             SojournRecord(regime, steps, disp, _DIRECTIONS[code], code == 0)
             for regime, steps, disp, code in zip(*(col.tolist() for col in cols))
         )
+
+
+@dataclass(frozen=True)
+class ExitSample:
+    """Fresh stays from ``sample_exit``, in order, as three columns named as in
+    ``RunResult``: ``stay_steps``, ``stay_displacements`` and ``stay_exits``,
+    the exit code -1 (down), +1 (up) or 0 (censored at the cap). ``steps``
+    counts every draw made, the unused rest of each stay's last block
+    included, and ``censored`` the censored stays.
+    """
+
+    stay_steps: np.ndarray
+    stay_displacements: np.ndarray
+    stay_exits: np.ndarray
+    steps: int
+    censored: int
 
 
 def _check_version(version: str) -> bool:
@@ -259,14 +286,13 @@ def _straddle(actual: np.ndarray, full: np.ndarray, o: int, p: int, m: int, n: i
 
 
 class _Walk:
-    """One walk on the block schedule; a ``run`` is one, and so is a ``sample_exit`` stay.
+    """One ``run`` on the block schedule.
 
     Regime i draws ``laws[i]`` and is left when its window sum falls outside
-    ``bounds[i]``. The walk ends after ``budget`` draws or when a stay leaves
-    the ladder: ``sample_exit`` gives its one law finite bounds, while a
-    run's outer regimes have an infinite side. Each block is walked as a
-    chain of passes, one per stay's draws in the block, over plain ints and
-    the Python floats of its lanes' cumsums.
+    ``bounds[i]``; the outer regimes have an infinite side, so no stay leaves
+    the ladder, and the walk ends after ``budget`` draws. Each block is
+    walked as a chain of passes, one per stay's draws in the block, over
+    plain ints and the Python floats of its lanes' cumsums.
     """
 
     def __init__(self, laws, bounds, n, delayed, budget, rng, regime, checkpoints=(), keep_increments=False):
@@ -323,11 +349,11 @@ class _Walk:
         """
         n, t, pos0 = self.n, self.t, self.pos
         refill = n if self.delayed else 1  # draws from a switch to the next stay's first evaluation
-        nlaws, gaussian, kinds_differ = len(self.laws), self.gaussian, self.kinds_differ
+        gaussian, kinds_differ = self.gaussian, self.kinds_differ
         z = base_variates(self.laws[self.cur], m, self.rng)
         # once regime r has drawn in the block, from block position q on,
         # lanes[r] is (N - q, exits, ups, c0, full), as ``_lane`` describes
-        lanes = [None] * nlaws
+        lanes = [None] * len(self.laws)
         # actual[N + b] is the draw at block position b, after the carried window.
         # It is the first lane's ``full``: every other regime writes its draws
         # over positions at which that lane's law draws nothing, so its reads
@@ -373,8 +399,6 @@ class _Walk:
             add_end_pos(pos)
             cur += 1 if up else -1
             d = hit + refill
-            if not 0 <= cur < nlaws:  # the stay left the ladder
-                break
             if kinds_differ and gaussian[cur] != gaussian[cur - 1 if up else cur + 1]:
                 # normals and uniforms cannot stand in for each other: the rest
                 # of the block is dropped, and the next block starts small again
@@ -417,7 +441,7 @@ class _Walk:
         self.window = actual[m:m + n]
         if self.keep_increments:
             self.increments.append(actual[n:n + m])
-        return 0 <= cur < nlaws and t + m < self.budget
+        return t + m < self.budget
 
     def _fill(self, actual: np.ndarray, lanes: list, first: int, filled: int, lo: int, hi: int, tail: int | None = None) -> int:
         """Bring ``actual`` up to date at block positions [lo, hi), which
@@ -553,25 +577,71 @@ def sample_exit(
     n: int,
     rng,
     cap: int = 10_000_000,
-) -> SojournRecord:
-    """One fresh stay between thresholds: refill the window with N draws of
-    ``d``, then step until the window average leaves [r_lo, r_hi).
+    count: int = 1,
+) -> ExitSample:
+    """``count`` fresh stays between thresholds: each refills its window with
+    N draws of ``d``, then steps until the window average leaves [r_lo, r_hi).
 
-    Returns steps (exit time + N), displacement, and the exit direction;
-    infinite bounds make that side unreachable. If the stay would exceed
-    ``cap`` total draws it is returned censored.
+    A stay's steps count its draws up to the exit, the N refill draws
+    included; infinite bounds make that side unreachable. A stay that would
+    exceed ``cap`` draws is censored at ``cap``. The stays are the rows of one
+    block schedule, as the module docstring describes.
     """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     if n < 1 or cap < n:
         raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
-    # a one-law ladder: the walk ends when the stay does, so which rule
-    # would refill the window after a switch never matters
-    walk = _Walk((d,), ((n * r_lo, n * r_hi),), n, True, cap, rng, 0)
-    walk.walk()
-    # the walk ends with its one stay, which began at time 0 and position 0
-    code = walk.cur - walk.stay_regimes[0]
-    return SojournRecord(None, walk.stay_ends[0], walk.stay_end_positions[0], _DIRECTIONS[code], code == 0)
+    if count < 1:
+        raise InvalidInputError(f"count must be >= 1, got {count}")
+    lo, hi = n * r_lo, n * r_hi
+    stay_steps = np.full(count, cap, dtype=np.int64)
+    stay_displacements = np.zeros(count)
+    stay_exits = np.zeros(count, dtype=np.int8)
+    live = np.arange(count)  # the rows whose stays go on, in stay order
+    # their last N draws, one row each, read from round 1 on: round 0's
+    # carried windows are zeros. Rows kept in a round move to the front of
+    # ``live`` and ``windows``, at or before the slice they are read from.
+    windows = np.empty((count, n))
+    t = drawn = grown = 0
+    while live.size and t < cap:
+        m = min(max(64, 2 * n) << grown, _BLOCK_CAP, cap - t)
+        grown += 1
+        first = max(n - t, 1)  # the first block position whose window sum is evaluated
+        rows_per_slice = max(1, _BLOCK_CAP // (n + m + 1))
+        kept = 0
+        for a in range(0, live.size, rows_per_slice):
+            rows = live[a:a + rows_per_slice]
+            k = rows.size
+            window = windows[a:a + k] if t else np.zeros((k, n))
+            full = np.concatenate((window, from_base(d, base_variates(d, k * m, rng).reshape(k, m))), axis=1)
+            c0 = np.empty((k, n + m + 1))
+            c0[:, 0] = 0.0
+            np.cumsum(full, axis=1, out=c0[:, 1:])
+            each = np.arange(k)
+            end = np.full(k, m)  # the block position where each row's pass ends
+            going = np.ones(k, dtype=bool)  # the rows whose stays go on past the block
+            if first <= m:
+                ws = c0[:, first + n:] - c0[:, first:m + 1]  # window sums at block positions first..m
+                up = ws >= hi
+                out = ws < lo
+                out |= up
+                j = out.argmax(axis=1)
+                hit = out[each, j].nonzero()[0]
+                j = j[hit]
+                end[hit] = first + j
+                going[hit] = False
+                stay_steps[rows[hit]] = t + first + j
+                stay_exits[rows[hit]] = np.where(up[hit, j], 1, -1)
+            stay_displacements[rows] += c0[each, n + end] - c0[:, n]
+            rows = rows[going]
+            live[kept:kept + rows.size] = rows
+            windows[kept:kept + rows.size] = full[going, m:]
+            kept += rows.size
+        drawn += live.size * m
+        t += m
+        live = live[:kept]
+    # the stays still going at the cap are censored there
+    return ExitSample(stay_steps, stay_displacements, stay_exits, steps=drawn, censored=int(live.size))
 
 
 class BlockOutcome(Enum):

@@ -413,6 +413,7 @@ def test_run_stay_columns_are_the_records(ladder, version):
 
 
 EXIT_LAW = FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.1, 0.2, 0.4, 0.3))
+DIRECTION = {-1: "down", 0: None, 1: "up"}
 
 # SHA-256 of every float and integer a run returns, pinned so that a change to
 # the engine that moves a single last digit (of a stay's displacement, a
@@ -443,7 +444,8 @@ def run_digest(res):
 def test_run_outputs_match_pinned_digest():
     # gaussian-l1 at 40k steps spans several blocks at the 2^13 cap with about
     # 100 stays each; a checkpoint every 7 steps lands inside refills and
-    # straddles; the exit stays are one-stay walks on the exit-stays law
+    # straddles; the exit stays are one-stay samples on the exit-stays law,
+    # hashed as the tuples that a stay record of the old per-stay walker gave
     got = {}
     for ladder in ("gaussian-l1", "gaussian-l2", "integer-atoms"):
         for version in ("delayed", "instantaneous"):
@@ -455,8 +457,10 @@ def test_run_outputs_match_pinned_digest():
     for n in (10, 20, 30):
         rng, h = AnyRng(n), hashlib.sha256()
         for _ in range(300):
-            rec = sample_exit(EXIT_LAW, 0.4, 1.3, n, rng)
-            h.update(repr((rec.steps, rec.displacement.hex(), rec.exit_direction, rec.censored)).encode())
+            stay = sample_exit(EXIT_LAW, 0.4, 1.3, n, rng)
+            code = int(stay.stay_exits[0])
+            row = (int(stay.stay_steps[0]), float(stay.stay_displacements[0]).hex(), DIRECTION[code], code == 0)
+            h.update(repr(row).encode())
         got[f"exit-stays/N={n}"] = h.hexdigest()
     assert got == PINNED_ENGINE_DIGESTS
 
@@ -576,27 +580,34 @@ def test_run_deterministic_per_seed():
 
 
 def test_sample_exit_point_mass_immediate_up():
-    rec = sample_exit(point(1.0), 0.0, 0.9, 6, AnyRng(0))
-    assert rec.steps == 6
-    assert rec.displacement == pytest.approx(6.0, abs=1e-12)
-    assert rec.exit_direction == "up" and not rec.censored
+    stay = sample_exit(point(1.0), 0.0, 0.9, 6, AnyRng(0))
+    assert stay.stay_steps.tolist() == [6]
+    assert stay.stay_displacements[0] == pytest.approx(6.0, abs=1e-12)
+    assert stay.stay_exits.tolist() == [1] and stay.censored == 0
 
 
 def test_sample_exit_point_mass_immediate_down():
-    rec = sample_exit(point(-1.0), -0.9, 1.0, 5, AnyRng(0))
-    assert rec.steps == 5 and rec.exit_direction == "down"
+    stay = sample_exit(point(-1.0), -0.9, 1.0, 5, AnyRng(0))
+    assert stay.stay_steps.tolist() == [5] and stay.stay_exits.tolist() == [-1]
 
 
 def test_sample_exit_one_sided_always_up():
     for seed in range(20):
-        rec = sample_exit(Gaussian(1.0, 1.0), -math.inf, 1.4, 4, AnyRng(seed), cap=100_000)
-        assert rec.exit_direction == "up" and not rec.censored
+        stay = sample_exit(Gaussian(1.0, 1.0), -math.inf, 1.4, 4, AnyRng(seed), cap=100_000)
+        assert stay.stay_exits.tolist() == [1] and stay.censored == 0
 
 
 def test_sample_exit_censoring_at_cap():
-    rec = sample_exit(point(0.5), 0.0, 1.0, 4, AnyRng(0), cap=57)
-    assert rec.censored and rec.exit_direction is None
-    assert rec.steps == 57
+    stay = sample_exit(point(0.5), 0.0, 1.0, 4, AnyRng(0), cap=57)
+    assert stay.censored == 1 and stay.stay_exits.tolist() == [0]
+    assert stay.stay_steps.tolist() == [57]
+
+
+def test_sample_exit_censors_every_row_at_a_tight_cap():
+    stays = sample_exit(point(0.5), 0.0, 1.0, 4, AnyRng(0), cap=57, count=5)
+    assert stays.censored == 5 and stays.steps == 5 * 57
+    assert stays.stay_steps.tolist() == [57] * 5 and stays.stay_exits.tolist() == [0] * 5
+    assert stays.stay_displacements.tolist() == [0.5 * 57] * 5
 
 
 def test_sample_exit_validates():
@@ -604,9 +615,12 @@ def test_sample_exit_validates():
         sample_exit(Gaussian(0, 1), 1.0, 0.5, 4, AnyRng(0))
     with pytest.raises(InvalidInputError):
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 10, AnyRng(0), cap=5)
+    for count in (0, -1):
+        with pytest.raises(InvalidInputError):
+            sample_exit(Gaussian(0, 1), 0.0, 0.5, 4, AnyRng(0), count=count)
 
 
-@pytest.mark.parametrize(
+EXIT_CASES = pytest.mark.parametrize(
     "d, r_lo, r_hi",
     [
         (Gaussian(1.0, 1.0), 0.4, 1.3),
@@ -615,6 +629,9 @@ def test_sample_exit_validates():
     ],
     ids=["gaussian", "lattice", "rademacher"],
 )
+
+
+@EXIT_CASES
 @pytest.mark.parametrize("n", [1, 3, 10, 40])
 def test_sample_exit_is_the_first_stay_of_run(d, r_lo, r_hi, n):
     # A fresh stay and a run's first sojourn from the middle regime walk the
@@ -624,18 +641,96 @@ def test_sample_exit_is_the_first_stay_of_run(d, r_lo, r_hi, n):
     edges = 0
     for seed in range(10):
         # the free stay's length puts its exit on the last draw of a horizon
-        free = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=20 * n + 300).steps
+        free = int(sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=20 * n + 300).stay_steps[0])
         for steps in (20 * n + 300, free, max(n, free - 1)):
-            rec = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=steps)
-            first = run(spec, "delayed", steps, AnyRng(seed)).records[0]
-            assert first.regime == 1 and rec.steps == first.steps
-            assert rec.displacement == first.displacement
-            if rec.steps == steps and not rec.censored:
+            stay = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=steps)
+            first = run(spec, "delayed", steps, AnyRng(seed))
+            assert first.stay_regimes[0] == 1 and stay.stay_steps[0] == first.stay_steps[0]
+            assert stay.stay_displacements[0] == first.stay_displacements[0]
+            if stay.stay_steps[0] == steps and stay.censored == 0:
                 edges += 1
-                assert first.censored and first.exit_direction is None
+                assert first.stay_exits[0] == 0
             else:
-                assert (rec.exit_direction, rec.censored) == (first.exit_direction, first.censored)
+                assert stay.stay_exits[0] == first.stay_exits[0]
     assert edges > 0
+
+
+class Replay:
+    """Hands out preset base variates, normals and uniforms alike, in order."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.consumed = 0
+
+    def random(self, size):
+        out = self.draws[self.consumed:self.consumed + size]
+        if len(out) != size:
+            raise IndexError("replayed draws exhausted")
+        self.consumed += size
+        return out
+
+    standard_normal = random
+
+
+class Recorder:
+    """A generator's base variates, kept in the order they were handed out."""
+
+    def __init__(self, seed):
+        self.rng = AnyRng(seed)
+        self.drawn = []
+
+    def random(self, size):
+        self.drawn.append(self.rng.random(size))
+        return self.drawn[-1]
+
+    def standard_normal(self, size):
+        self.drawn.append(self.rng.standard_normal(size))
+        return self.drawn[-1]
+
+
+@EXIT_CASES
+@pytest.mark.parametrize("n", [1, 3, 10, 40])
+def test_sample_exit_rows_are_single_stays(d, r_lo, r_hi, n):
+    # round k draws a block for each row whose stay goes on past the blocks
+    # before it, row after row; fed its own draws, a single stay ends alike
+    count, cap = 60, 20 * n + 300
+    rec = Recorder(n)
+    stays = sample_exit(d, r_lo, r_hi, n, rec, cap=cap, count=count)
+    stream = np.concatenate(rec.drawn)
+    assert stays.steps == len(stream)
+    assert stays.censored == np.count_nonzero(stays.stay_exits == 0)
+    own = [[] for _ in range(count)]
+    t = k = used = 0
+    while t < cap:
+        m = min(max(64, 2 * n) << k, simulator._BLOCK_CAP, cap - t)
+        for row in np.flatnonzero(stays.stay_steps > t):
+            own[row].append(stream[used:used + m])
+            used += m
+        t, k = t + m, k + 1
+    assert used == len(stream)
+    for row, draws in enumerate(own):
+        replay = Replay(np.concatenate(draws))
+        stay = sample_exit(d, r_lo, r_hi, n, replay, cap=cap)
+        assert replay.consumed == len(replay.draws)
+        assert stay.stay_steps[0] == stays.stay_steps[row]
+        assert stay.stay_displacements[0] == stays.stay_displacements[row]
+        assert stay.stay_exits[0] == stays.stay_exits[row]
+
+
+@EXIT_CASES
+def test_sample_exit_does_not_depend_on_the_slice_size(monkeypatch, d, r_lo, r_hi):
+    # the cap of 200 keeps the blocks (64, 128, 8) under both block caps, so
+    # only the slices change: one or two rows each at the small cap, every
+    # row in one at the large one; 1001 rows fill no whole number of slices
+    got = []
+    for block_cap in (200, 1 << 22):
+        monkeypatch.setattr(simulator, "_BLOCK_CAP", block_cap)
+        got.append(sample_exit(d, r_lo, r_hi, 3, AnyRng(9), cap=200, count=1001))
+    a, b = got
+    assert np.array_equal(a.stay_steps, b.stay_steps)
+    assert np.array_equal(a.stay_displacements, b.stay_displacements)
+    assert np.array_equal(a.stay_exits, b.stay_exits)
+    assert (a.steps, a.censored) == (b.steps, b.censored)
 
 
 def test_sample_exit_steps_match_oracle_rademacher():
@@ -643,13 +738,13 @@ def test_sample_exit_steps_match_oracle_rademacher():
     d = Rademacher(0.5)
     for seed in range(50):
         rng = AnyRng(seed)
-        rec = sample_exit(d, -0.5, 0.5, 3, rng, cap=10_000)
+        steps = int(sample_exit(d, -0.5, 0.5, 3, rng, cap=10_000).stay_steps[0])
         rng2 = AnyRng(seed)
         draws = []
         # regenerate the exact stream the sampler consumed
-        while len(draws) < rec.steps:
-            draws.extend(np.where(rng2.random(min(64, 10_000)) < 0.5, -1.0, 1.0)[: rec.steps - len(draws)])
-        sums = [sum(draws[j:j + 3]) for j in range(rec.steps - 3 + 1)]
+        while len(draws) < steps:
+            draws.extend(np.where(rng2.random(min(64, 10_000)) < 0.5, -1.0, 1.0)[: steps - len(draws)])
+        sums = [sum(draws[j:j + 3]) for j in range(steps - 3 + 1)]
         # every window before the last is inside, the last one is out
         assert all(-1.5 <= s < 1.5 for s in sums[:-1])
         assert not (-1.5 <= sums[-1] < 1.5)
@@ -660,8 +755,8 @@ def test_sample_exit_refill_is_the_head_of_the_first_block(n):
     # the refill is decided off the first block of max(64, 2N) draws, so a
     # stay that exits at time N still leaves the rest of that block unused
     rng = ScriptedRNG([0.999] * 80)
-    rec = sample_exit(Rademacher(0.5), -0.5, 0.5, n, rng)
-    assert (rec.steps, rec.exit_direction, rec.censored) == (n, "up", False)
+    stay = sample_exit(Rademacher(0.5), -0.5, 0.5, n, rng)
+    assert (stay.stay_steps[0], stay.stay_exits[0], stay.censored) == (n, 1, 0)
     assert rng.consumed == max(64, 2 * n)
 
 
