@@ -8,7 +8,8 @@ import numpy as np
 
 
 class ScriptedRNG:
-    """Feeds preset uniforms to the inverse-CDF samplers.
+    """Feeds preset base variates, in order: uniforms to the inverse-CDF
+    samplers, or normals to the Gaussian one.
 
     For two-atom laws, 0.0 forces the lower atom and 0.999 the upper one
     (for any weight bounded away from the extremes).
@@ -28,6 +29,8 @@ class ScriptedRNG:
             raise IndexError("scripted uniforms exhausted")
         self._i += n
         return np.array(out)
+
+    standard_normal = random
 
     @property
     def consumed(self):

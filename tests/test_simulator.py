@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import ScriptedRNG, oracle_regime_path, rademacher_script
 from histwalk import simulator
-from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher
+from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, base_variates
 from histwalk.errors import InvalidInputError
 from histwalk.simulator import (
     BlockOutcome,
@@ -445,7 +445,7 @@ def test_run_outputs_match_pinned_digest():
     # gaussian-l1 at 40k steps spans several blocks at the 2^13 cap with about
     # 100 stays each; a checkpoint every 7 steps lands inside refills and
     # straddles; the exit stays are one-stay samples on the exit-stays law,
-    # hashed as the tuples that a stay record of the old per-stay walker gave
+    # each hashed as its (steps, displacement, direction, censored) tuple
     got = {}
     for ladder in ("gaussian-l1", "gaussian-l2", "integer-atoms"):
         for version in ("delayed", "instantaneous"):
@@ -655,49 +655,16 @@ def test_sample_exit_is_the_first_stay_of_run(d, r_lo, r_hi, n):
     assert edges > 0
 
 
-class Replay:
-    """Hands out preset base variates, normals and uniforms alike, in order."""
-
-    def __init__(self, draws):
-        self.draws = draws
-        self.consumed = 0
-
-    def random(self, size):
-        out = self.draws[self.consumed:self.consumed + size]
-        if len(out) != size:
-            raise IndexError("replayed draws exhausted")
-        self.consumed += size
-        return out
-
-    standard_normal = random
-
-
-class Recorder:
-    """A generator's base variates, kept in the order they were handed out."""
-
-    def __init__(self, seed):
-        self.rng = AnyRng(seed)
-        self.drawn = []
-
-    def random(self, size):
-        self.drawn.append(self.rng.random(size))
-        return self.drawn[-1]
-
-    def standard_normal(self, size):
-        self.drawn.append(self.rng.standard_normal(size))
-        return self.drawn[-1]
-
-
 @EXIT_CASES
 @pytest.mark.parametrize("n", [1, 3, 10, 40])
 def test_sample_exit_rows_are_single_stays(d, r_lo, r_hi, n):
     # round k draws a block for each row whose stay goes on past the blocks
-    # before it, row after row; fed its own draws, a single stay ends alike
+    # before it, row after row; fed its own draws, a single stay ends alike.
+    # Draws made in several calls are those of one call, so one call
+    # regenerates the stream.
     count, cap = 60, 20 * n + 300
-    rec = Recorder(n)
-    stays = sample_exit(d, r_lo, r_hi, n, rec, cap=cap, count=count)
-    stream = np.concatenate(rec.drawn)
-    assert stays.steps == len(stream)
+    stays = sample_exit(d, r_lo, r_hi, n, AnyRng(n), cap=cap, count=count)
+    stream = base_variates(d, stays.steps, AnyRng(n))
     assert stays.censored == np.count_nonzero(stays.stay_exits == 0)
     own = [[] for _ in range(count)]
     t = k = used = 0
@@ -709,9 +676,10 @@ def test_sample_exit_rows_are_single_stays(d, r_lo, r_hi, n):
         t, k = t + m, k + 1
     assert used == len(stream)
     for row, draws in enumerate(own):
-        replay = Replay(np.concatenate(draws))
+        draws = np.concatenate(draws)
+        replay = ScriptedRNG(draws)
         stay = sample_exit(d, r_lo, r_hi, n, replay, cap=cap)
-        assert replay.consumed == len(replay.draws)
+        assert replay.consumed == len(draws)
         assert stay.stay_steps[0] == stays.stay_steps[row]
         assert stay.stay_displacements[0] == stays.stay_displacements[row]
         assert stay.stay_exits[0] == stays.stay_exits[row]
