@@ -28,14 +28,15 @@ after its first rule evaluation: N draws after a delayed switch, one after an
 instantaneous one, whose first N-1 windows still hold the old law's draws and
 are summed from the actual window instead. It moves the position by the
 difference of two cumsum entries, read as Python floats through a memoryview,
-and records where it ends, without reading a numpy scalar or copying draws.
-The actual draws are copied from the lanes only where
-something reads them: the head of a lane built mid-block, an instantaneous
-re-entry's windows, the final window, the checkpoints and, when a run keeps
-its increments, the whole block. Each stay is one entry in three typed
-columns (regime, end time, end position), about 20 bytes, and its draws,
-displacement and exit code are the steps between entries, taken once at the
-end of a run; ``SojournRecord``s are built only when a caller asks for them.
+and records where it ends, without reading a numpy scalar. As soon as it is
+walked, it copies its draws into the block's actual draws, unless its lane is
+the block's first, whose buffer holds them; so every reader finds them
+current: the head of a lane built mid-block, an instantaneous re-entry's
+windows, the final window, the checkpoints and a run's kept increments.
+Each stay is one entry in three typed columns (regime, end time, end
+position), about 20 bytes, and its draws, displacement and exit code are the
+steps between entries, taken once at the end of a run; ``SojournRecord``s are
+built only when a caller asks for them.
 
 The k-th increment of a run maps the k-th base variate of the stream, exactly
 as ``init`` and step_* calls do. The exceptions: a switch between a Gaussian
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -207,6 +208,12 @@ class ExitSample:
     censored: int
 
 
+def _block_size(n: int, k: int) -> int:
+    """The k-th block of the schedule that ``run`` and ``sample_exit`` share,
+    before each clips it to its remaining budget."""
+    return min(max(64, 2 * n) << k, _BLOCK_CAP)
+
+
 def _check_version(version: str) -> bool:
     """Whether ``version`` is the delayed rule; any name not in ``VERSIONS`` is an error."""
     if version not in VERSIONS:
@@ -268,7 +275,7 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
-def _straddle(actual: np.ndarray, full: np.ndarray, o: int, p: int, m: int, n: int, lo: float, hi: float):
+def _straddle(actual: np.ndarray, full: memoryview, o: int, p: int, m: int, n: int, lo: float, hi: float):
     """The first window sum at block positions p+1..p+N-1 (at most m) outside
     [lo, hi), for a stay that re-enters its regime at ``p`` under the
     instantaneous rule. Those windows still hold draws made before ``p`` by
@@ -328,7 +335,7 @@ class _Walk:
     def walk(self) -> None:
         alive = True
         while alive:
-            m = min(max(64, 2 * self.n) << self.grown, _BLOCK_CAP, self.budget - self.t)
+            m = min(_block_size(self.n, self.grown), self.budget - self.t)
             self.grown += 1
             alive = self._block(m)
 
@@ -340,27 +347,27 @@ class _Walk:
         the regime draws in the block, and reads the exit's side off the
         lane too; a stay that re-enters its regime under the instantaneous
         rule sums its first N-1 windows by ``_straddle`` instead. The pass
-        then moves the position by two of the lane's cumsum entries and, if
-        its stay ends, appends the stay's entry. A switch between a Gaussian
-        and a discrete law drops the rest of the block. The actual draws are
-        copied from the lanes by ``_fill`` only where they are read: a new
-        lane's head and a straddle's window mid-block, then the final
-        window, the checkpoints and, if kept, the whole block.
+        then copies its draws from its lane into ``actual``, moves the
+        position by two of the lane's cumsum entries and, if its stay ends,
+        appends the stay's entry. So every reader of ``actual`` finds it
+        current: a new lane's head, a straddle's window, the final window,
+        the checkpoints and the kept increments. A switch between a Gaussian
+        and a discrete law drops the rest of the block.
         """
         n, t, pos0 = self.n, self.t, self.pos
         refill = n if self.delayed else 1  # draws from a switch to the next stay's first evaluation
         gaussian, kinds_differ = self.gaussian, self.kinds_differ
         z = base_variates(self.laws[self.cur], m, self.rng)
+        cur, pos = self.cur, pos0
         # once regime r has drawn in the block, from block position q on,
         # lanes[r] is (N - q, exits, ups, c0, full), as ``_lane`` describes
         lanes = [None] * len(self.laws)
-        # actual[N + b] is the draw at block position b, after the carried window.
-        # It is the first lane's ``full``: every other regime writes its draws
-        # over positions at which that lane's law draws nothing, so its reads
-        # need a ``_fill`` only once there is another lane; the block's passes
-        # before stay entry ``filled`` are then copied into it.
-        actual, filled = None, None
-        cur, pos = self.cur, pos0
+        lanes[cur] = self._lane(cur, self.window, z, 0)
+        # actual[N + b] is the draw at block position b, after the carried
+        # window. It is a numpy view of the first lane's ``full``, so only the
+        # passes of other lanes copy their draws into it.
+        into = lanes[cur][4]
+        actual = np.asarray(into)
         d = self.decide - t  # block position of the current stay's next evaluation
         # pass k of the block appends the stay entry first + k when its stay ends
         add_regime, add_end, add_end_pos = self.stay_regimes.append, self.stay_ends.append, self.stay_end_positions.append
@@ -370,28 +377,21 @@ class _Walk:
             lane = lanes[cur]
             found = None
             look = d  # the first block position the lookup may return
-            if lane is None or d < p + n:
-                if filled is not None:
-                    filled = self._fill(actual, lanes, first, filled, 0, p)
-                if lane is None:
-                    window = self.window if actual is None else actual[p:p + n]
-                    lane = lanes[cur] = self._lane(cur, window, z, p)
-                    if actual is None:
-                        actual = lane[4]
-                    elif filled is None:
-                        filled = len(self.stay_ends)
-                else:  # only under the instantaneous rule
-                    found = _straddle(actual, lane[4], lane[0], p, m, n, *self.bounds[cur])
-                    look = p + n
-            o, exits, ups, c, _ = lane
+            if lane is None:
+                lane = lanes[cur] = self._lane(cur, actual[p:p + n], z, p)
+            elif p and d < p + n:  # a re-entry, only under the instantaneous rule
+                found = _straddle(actual, lane[4], lane[0], p, m, n, *self.bounds[cur])
+                look = p + n
+            o, exits, ups, c, full = lane
             if found is None:
                 hit = exits[bisect_left(exits, look)]
-                if hit > m:  # no exit in the rest of the block
-                    break
-                up = ups[hit]
+                up = hit <= m and ups[hit]  # past m: no exit in the rest of the block
             else:
                 hit, up = found
-            if hit == m:  # the stay's exit ends the block
+            end = hit if hit < m else m
+            if full is not into:
+                into[n + p:n + end] = full[o + p:o + end]
+            if hit >= m:  # the stay goes on into the next block, or its exit ends this one
                 break
             pos += c[o + hit] - c[o + p]
             add_regime(cur)
@@ -405,33 +405,27 @@ class _Walk:
                 self.grown = 0
                 break
             p = hit
-        tail = None  # the regime of the block's last pass while its stay goes on
         if hit >= m:  # the last pass runs to the block's end
             pos += c[o + m] - c[o + p]
             if hit == m or t + m == self.budget:
                 add_regime(cur)
                 add_end(t + m)
                 add_end_pos(pos)
-            else:
-                tail = cur
             if hit == m:
                 cur, d = cur + 1 if up else cur - 1, m + refill
             else:
                 d = max(d, m + 1)
         else:
             m = hit
-        if filled is not None:
-            filled = self._fill(actual, lanes, first, filled, 0 if self.keep_increments else m - n, m, tail)
         times, ck = self.ckpt_times, self.ckpt_next
         while times[ck] <= t + m:
             k = times[ck] - t
             j = bisect_left(self.stay_ends, t + k, first)  # the stay entry of the pass that holds it
             start = self.stay_ends[j - 1] - t if j > first else 0
-            if filled is not None:
-                self._fill(actual, lanes, first, filled, min(start, k - n), k, tail)
             self.ckpt_pos.append((self.stay_end_positions[j - 1] if j > first else pos0)
                                  + float(actual[n + start:n + k].sum()))
-            self.ckpt_regime.append(self.stay_regimes[j] if j < len(self.stay_regimes) else tail)
+            # a stay still going at the block's end has no entry yet
+            self.ckpt_regime.append(self.stay_regimes[j] if j < len(self.stay_regimes) else cur)
             # windows before time N are incomplete and average to NaN
             self.ckpt_wavg.append(float(actual[k:k + n].sum()) / n if t + k >= n else math.nan)
             ck += 1
@@ -443,43 +437,13 @@ class _Walk:
             self.increments.append(actual[n:n + m])
         return t + m < self.budget
 
-    def _fill(self, actual: np.ndarray, lanes: list, first: int, filled: int, lo: int, hi: int, tail: int | None = None) -> int:
-        """Bring ``actual`` up to date at block positions [lo, hi), which
-        passes already walked, and return the new ``filled``.
-
-        Pass k of the block is stay entry first + k: it ran to block position
-        ``stay_ends[first + k] - t``, from where the pass before it ended (or
-        from 0), in regime ``stay_regimes[first + k]``, whose lane holds its
-        draws; ``actual``, the first lane's ``full``, holds those of its own
-        already. After them, a pass whose stay goes on into the next block
-        has no entry yet and runs to the block's end in regime ``tail``. The
-        passes before entry ``filled`` are copied, so a range that starts in
-        them moves ``filled`` on to its end, and one past them copies its own
-        passes alone.
-        """
-        n, t, ends, regimes = self.n, self.t, self.stay_ends, self.stay_regimes
-        k = max(bisect_right(ends, t + lo, first), filled) if lo > 0 else filled
-        onward = k == filled
-        a = ends[k - 1] - t if k > first else 0
-        while k < len(ends) and a < hi:
-            b = ends[k] - t
-            o, _, _, _, full = lanes[regimes[k]]
-            if full is not actual:
-                actual[n + a:n + b] = full[o + a:o + b]
-            k, a = k + 1, b
-        if tail is not None and a < hi:
-            o, _, _, _, full = lanes[tail]
-            if full is not actual:
-                actual[n + a:n + hi] = full[o + a:o + hi]
-        return k if onward else filled
-
     def _lane(self, regime: int, window: np.ndarray, z: np.ndarray, q: int):
         """Regime ``regime``'s lane: its view of the block from position ``q``,
         where ``window`` ends, as ``(N - q, exits, ups, c0, full)``.
 
         ``full`` is ``window``, the actual last N draws (zeros before time
         N), followed by the regime's law mapped over ``z[q:]``, and ``c0`` is
-        its zero-prefixed cumsum as a memoryview of floats. So the draw at
+        its zero-prefixed cumsum, both as memoryviews of floats. So the draw at
         block position b is ``full[N - q + b]``, and the sum of the N draws
         before it is ``c0[N - q + b] - c0[b - q]``. ``exits`` lists, ascending,
         the block positions from q on at which that sum leaves the regime's
@@ -505,7 +469,7 @@ class _Walk:
         ups = up.tobytes()
         if q:
             ups = bytes(q) + ups
-        return n - q, exits, ups, c0.data, full
+        return n - q, exits, ups, c0.data, full.data
 
     def result(self) -> RunResult:
         # each stay's draws and displacement are the steps between stay ends,
@@ -604,7 +568,7 @@ def sample_exit(
     windows = np.empty((count, n))
     t = drawn = grown = 0
     while live.size and t < cap:
-        m = min(max(64, 2 * n) << grown, _BLOCK_CAP, cap - t)
+        m = min(_block_size(n, grown), cap - t)
         grown += 1
         first = max(n - t, 1)  # the first block position whose window sum is evaluated
         rows_per_slice = max(1, _BLOCK_CAP // (n + m + 1))

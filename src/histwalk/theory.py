@@ -73,13 +73,16 @@ class ModelSpec:
             raise InvalidInputError("thresholds must be finite")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise InvalidInputError(f"thresholds must be strictly increasing, got {self.thresholds}")
-        if int(self.window) != self.window or self.window < 1:
+        if not _whole(self.window) or self.window < 1:
             raise InvalidInputError(f"window must be an integer >= 1, got {self.window}")
         object.__setattr__(self, "window", int(self.window))
+        if not _whole(self.initial_regime):
+            raise InvalidInputError(f"initial_regime must be an integer, got {self.initial_regime}")
         if not (0 <= self.initial_regime <= len(self.thresholds)):
             raise InvalidInputError(
                 f"initial_regime must be in [0, {len(self.thresholds)}], got {self.initial_regime}"
             )
+        object.__setattr__(self, "initial_regime", int(self.initial_regime))
 
     @property
     def l(self) -> int:
@@ -88,6 +91,14 @@ class ModelSpec:
     @property
     def regime_means(self) -> tuple[float, ...]:
         return tuple(mean(d) for d in self.dists)
+
+
+def _whole(x) -> bool:
+    """Whether ``x`` is a number with an integer value; NaN and infinities are not."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def threshold_bounds(spec: ModelSpec, i: int) -> tuple[float, float]:

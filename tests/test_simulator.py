@@ -274,9 +274,9 @@ def test_run_mixed_ladder_drops_carried_variates_of_the_other_kind():
 
 def block_edges(n, count):
     """The end of the N forced draws, then the times at which the walker's
-    first ``count - 1`` blocks end: blocks of max(64, 2N) << k capped at the
-    block cap, the first one headed by the forced draws."""
-    blocks = [min(max(64, 2 * n) << k, simulator._BLOCK_CAP) for k in range(count - 1)]
+    first ``count - 1`` blocks of ``simulator._block_size`` end, the first
+    one headed by the forced draws."""
+    blocks = [simulator._block_size(n, k) for k in range(count - 1)]
     return [n] + np.cumsum(blocks).tolist()
 
 
@@ -463,6 +463,21 @@ def test_run_outputs_match_pinned_digest():
             h.update(repr(row).encode())
         got[f"exit-stays/N={n}"] = h.hexdigest()
     assert got == PINNED_ENGINE_DIGESTS
+
+
+@pytest.mark.parametrize("version", ["delayed", "instantaneous"])
+@pytest.mark.parametrize("ladder", ["gaussian-l1", "gaussian-l2", "integer-atoms"])
+def test_run_without_increments_is_the_pinned_run(ladder, version):
+    # the pinned digests all keep increments; a run that does not must return
+    # the same stays, trace, position and final window bit for bit
+    kw = dict(checkpoint_times=range(1, 40_001, 7))
+    res = run(LADDERS[ladder], version, 40_000, AnyRng(11), **kw)
+    kept = run(LADDERS[ladder], version, 40_000, AnyRng(11), record_increments=True, **kw)
+    assert res.increments is None
+    for name in ("stay_regimes", "stay_steps", "stay_displacements", "stay_exits", "position", "window"):
+        assert np.array_equal(getattr(res, name), getattr(kept, name)), name
+    for name in ("times", "positions", "regimes", "window_avgs"):
+        assert np.array_equal(getattr(res.trace, name), getattr(kept.trace, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("version", ["delayed", "instantaneous"])

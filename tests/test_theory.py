@@ -58,10 +58,20 @@ def test_model_spec_shape():
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=0, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5, initial_regime=2),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1), Gaussian(2, 1)), thresholds=(1.3, 0.4), window=5, initial_regime=0),
+    # non-integers, which int() would truncate or fail on with another error
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=math.nan, initial_regime=0),
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=math.inf, initial_regime=0),
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5, initial_regime=0.5),
 ])
 def test_model_spec_structural_errors(kwargs):
     with pytest.raises(InvalidInputError):
         ModelSpec(**kwargs)
+
+
+def test_model_spec_stores_whole_numbers_as_ints():
+    spec = ModelSpec(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5.0, initial_regime=1.0)
+    assert (spec.window, spec.initial_regime) == (5, 1)
+    assert type(spec.window) is int and type(spec.initial_regime) is int
 
 
 def test_threshold_bounds_out_of_range():
