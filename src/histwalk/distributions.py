@@ -27,7 +27,6 @@ __all__ = [
     "tail_prob",
     "base_variates",
     "from_base",
-    "sample",
     "sample_n",
     "sample_mean_sums",
     "support_bounds",
@@ -179,11 +178,6 @@ def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
     # a u at or above the last cumulative weight, which may fall short of 1
     # by rounding, is past every atom; the clip gives it the top one
     return d._atoms.take(d._cumw.searchsorted(z, "right"), mode="clip")
-
-
-def sample(d: IncrementDistribution, rng) -> float:
-    """One draw; the first of ``sample_n(d, n, rng)`` for any n."""
-    return float(from_base(d, base_variates(d, 1, rng))[0])
 
 
 def sample_n(d: IncrementDistribution, n: int, rng) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringErr
 from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
-from .theory import ModelSpec, predict_limiting_speed, sojourn_exponents
+from .theory import ModelSpec, predict_limiting_speed
 
 __all__ = [
     "RegimeStats",
@@ -275,9 +275,10 @@ def default_steps_rule(spec: ModelSpec):
     run 19 to 48 times longer (two Gaussians, threshold 0.4, N = 10 to 50), and
     a replica at N = 40 sees about 17 stays of the slower regime. Grids should
     stay below the cap or the largest windows see only a few regime switches.
+    Raises AssumptionError if the model fails validation.
     """
 
-    rate = max(sojourn_exponents(spec))
+    rate = max(r.sojourn_exp for r in predict_limiting_speed(spec).per_regime)
 
     def steps_for(n: int) -> int:
         if n * rate >= math.log(_STEPS_CAP / 200.0) + 1.0:

@@ -63,7 +63,8 @@ because that decision would govern a draw that never happens, while
 ``sample_exit`` counts an exit on its cap-th draw. The 2^13 cap first
 shortens the block that starts 6,150 to 16,320 draws into the walk for
 N <= 2048, 4,098 to 8,192 draws in for 2048 < N <= 4096, and the first block
-when N > 4096.
+when N > 4096. It and ``sample_block_outcomes`` decide on cumsum differences
+too, so a sum that ties a threshold only up to rounding may go either way.
 
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
@@ -82,9 +83,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample, sample_n
+from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample_n
 from .errors import InvalidInputError
-from .theory import ModelSpec, threshold_bounds
+from .theory import ModelSpec, _whole, threshold_bounds
 
 __all__ = [
     "VERSIONS",
@@ -245,7 +246,7 @@ def _step(state: WalkState, spec: ModelSpec, rng, delayed: bool) -> WalkState:
         elif state.window_sum >= n * hi:
             state.regime += 1
             state.consecutive_uses = 0
-    x = sample(spec.dists[state.regime], rng)
+    x = float(sample_n(spec.dists[state.regime], 1, rng)[0])
     old = float(state.window[state.head])
     state.window[state.head] = x
     state.head = (state.head + 1) % n
@@ -518,6 +519,8 @@ def run(
     clipped to [1, steps]).
     """
     delayed = _check_version(version)
+    if not _whole(steps):
+        raise InvalidInputError(f"steps must be an integer, got {steps!r}")
     steps = int(steps)
     if steps < spec.window:
         raise InvalidInputError(f"steps={steps} must be at least the window length {spec.window}")
@@ -553,6 +556,9 @@ def sample_exit(
     """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
+    if not (_whole(n) and _whole(cap) and _whole(count)):
+        raise InvalidInputError(f"N, cap and count must be integers, got {n!r}, {cap!r} and {count!r}")
+    n, cap, count = int(n), int(cap), int(count)
     if n < 1 or cap < n:
         raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
     if count < 1:
@@ -629,6 +635,9 @@ def sample_block_outcomes(
     """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
+    if not (_whole(n) and _whole(count)):
+        raise InvalidInputError(f"N and count must be integers, got {n!r} and {count!r}")
+    n, count = int(n), int(count)
     if n < 1 or count < 1:
         raise InvalidInputError("N and count must be >= 1")
     lo, hi = n * r_lo, n * r_hi

@@ -3,15 +3,15 @@
 A model is a ladder of l+1 increment laws with strictly increasing means and
 l thresholds interlacing those means. The walk's long-run speed is decided by
 per-regime exponents built from the laws' rate functions evaluated at the
-neighbouring thresholds:
+neighbouring thresholds, all reported by ``predict_limiting_speed``:
 
-* ``transition_exponents``: decay rates of the regime chain's up/down moves;
-* ``sojourn_exponents``: growth rates of the expected time spent per visit;
-* ``invariant_exponents``: growth rates of the chain's stationary weights,
+* ``RegimeExponents.up_exp``/``down_exp``: decay rates of the chain's moves;
+* ``RegimeExponents.sojourn_exp``: growth rate of the expected time per visit;
+* ``RegimeExponents.nu_exp``: growth rate of the chain's stationary weight,
   obtained by telescoping detailed balance;
-* ``dominance_exponents``: the combined weight of each regime in the speed
-  formula. The regime with the strictly largest dominance exponent wins and
-  its mean is the predicted limiting speed; ties are reported, never guessed.
+* ``TheoryReport.lambdas``: the dominance exponents, each regime's combined
+  weight in the speed formula. The regime with the strictly largest one wins
+  and its mean is the predicted limiting speed; ties are reported, never guessed.
 
 All exponents are exact functions of the model (no Monte Carlo here).
 """
@@ -34,10 +34,6 @@ __all__ = [
     "TheoryReport",
     "validate",
     "threshold_bounds",
-    "dominance_exponents",
-    "transition_exponents",
-    "sojourn_exponents",
-    "invariant_exponents",
     "invariant_distribution",
     "speed_formula",
     "predict_limiting_speed",
@@ -190,44 +186,6 @@ def _exponents(spec: ModelSpec):
     for i in range(1, l + 1):
         nu.append(nu[-1] + downs[i] - ups[i - 1])
     return tuple(lam), (tuple(ups), tuple(downs)), tuple(sojourn), tuple(nu)
-
-
-def dominance_exponents(spec: ModelSpec) -> tuple[float, ...]:
-    """Per-regime exponents whose argmax decides the limiting speed.
-
-    Regime 0 carries the cost of climbing out through its upper threshold;
-    each further regime adds the net cost imbalance of the rungs below it.
-    """
-    return _exponents(spec)[0]
-
-
-def transition_exponents(spec: ModelSpec) -> tuple[tuple, tuple]:
-    """Decay exponents of the regime chain's one-step moves.
-
-    Returns (ups, downs), indexed by regime. ups[l] and downs[0] are None:
-    those directions do not exist. Boundary regimes exit with probability one
-    in their single direction, exponent 0.
-    """
-    return _exponents(spec)[1]
-
-
-def sojourn_exponents(spec: ModelSpec) -> tuple[float, ...]:
-    """Growth exponents of the expected time per visit to each regime.
-
-    Interior regimes leave through whichever threshold is cheaper; boundary
-    regimes only have one way out.
-    """
-    return _exponents(spec)[2]
-
-
-def invariant_exponents(spec: ModelSpec) -> tuple[float, ...]:
-    """Growth exponents of the regime chain's stationary weights.
-
-    Telescoped detailed balance: each rung upward multiplies the weight by
-    (up probability of the regime below) / (down probability of the regime
-    above), whose exponents are already known.
-    """
-    return _exponents(spec)[3]
 
 
 def invariant_distribution(up_probs, down_probs) -> tuple[float, ...]:

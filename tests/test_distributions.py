@@ -12,7 +12,6 @@ from histwalk.distributions import (
     cgf_derivatives,
     from_base,
     mean,
-    sample,
     sample_mean_sums,
     sample_n,
     support_bounds,
@@ -194,23 +193,25 @@ def test_sample_mean_within_5_se(d):
 
 
 def test_scalar_sample_matches_vector_mapping():
-    # inverse-CDF contract: u below the cumulative weight of -1 maps to -1
+    # inverse-CDF contract: u below the cumulative weight of -1 maps to -1;
+    # one draw at a time, as the reference step takes them, or all at once
     class Scripted:
         def __init__(self, us):
             self.us = list(us)
 
-        def random(self, n=None):
-            if n is None:
-                return self.us.pop(0)
+        def random(self, n):
             return np.array([self.us.pop(0) for _ in range(n)])
 
+    def one_at_a_time(d, r, k):
+        return [float(sample_n(d, 1, r)[0]) for _ in range(k)]
+
     d = Rademacher(0.25)  # weight 0.75 on -1
-    r = Scripted([0.0, 0.7499, 0.75, 0.99])
-    assert [sample(d, r) for _ in range(4)] == [-1.0, -1.0, 1.0, 1.0]
+    assert one_at_a_time(d, Scripted([0.0, 0.7499, 0.75, 0.99]), 4) == [-1.0, -1.0, 1.0, 1.0]
+    assert sample_n(d, 4, Scripted([0.0, 0.7499, 0.75, 0.99])).tolist() == [-1.0, -1.0, 1.0, 1.0]
 
     fd = FiniteDiscrete((-1.0, 0.0, 2.0), (0.25, 0.5, 0.25))
     r = Scripted([0.1, 0.25, 0.6, 0.76, 0.9999])
-    assert [sample(fd, r) for _ in range(5)] == [-1.0, 0.0, 0.0, 2.0, 2.0]
+    assert one_at_a_time(fd, r, 5) == [-1.0, 0.0, 0.0, 2.0, 2.0]
     r = Scripted([0.1, 0.25, 0.6, 0.76, 0.9999])
     assert sample_n(fd, 5, r).tolist() == [-1.0, 0.0, 0.0, 2.0, 2.0]
 

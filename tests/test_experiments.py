@@ -172,6 +172,18 @@ class TestStepsRule:
         rule = default_steps_rule(l1_gaussian())
         assert rule(10**6) == 100_000_000
 
+    def test_invalid_model_is_rejected(self):
+        # the rule reads the sojourn exponents off the prediction, which
+        # refuses a model whose means do not interlace its threshold
+        spec = ModelSpec(
+            dists=(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)),
+            thresholds=(0.0,),
+            window=4,
+            initial_regime=0,
+        )
+        with pytest.raises(AssumptionError):
+            default_steps_rule(spec)
+
 
 class TestSweepWindow:
     def test_small_sweep_against_known_limit(self):

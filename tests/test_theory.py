@@ -11,14 +11,10 @@ from histwalk.errors import AssumptionError, InvalidChainError, InvalidInputErro
 from histwalk.ratefn import RateFunction
 from histwalk.theory import (
     ModelSpec,
-    dominance_exponents,
     invariant_distribution,
-    invariant_exponents,
     predict_limiting_speed,
-    sojourn_exponents,
     speed_formula,
     threshold_bounds,
-    transition_exponents,
     validate,
 )
 
@@ -136,45 +132,43 @@ def test_validate_fails_on_missing_tail_mass():
 
 
 def test_dominance_exponents_l1():
-    lam = dominance_exponents(l1_gaussian())
+    lam = predict_limiting_speed(l1_gaussian()).lambdas
     assert lam == pytest.approx((0.08, 0.18), abs=1e-12)
 
 
 def test_dominance_exponents_l2():
-    lam = dominance_exponents(l2_gaussian((0.4, 1.3)))
+    lam = predict_limiting_speed(l2_gaussian((0.4, 1.3))).lambdas
     # 0.38 = I_2(1.3) + (I_1(0.4) - I_1(1.3)) = 0.245 + 0.135
     assert lam == pytest.approx((0.08, 0.18, 0.38), abs=1e-12)
 
 
 def test_transition_exponents_l2():
-    ups, downs = transition_exponents(l2_gaussian((0.4, 1.3)))
-    assert ups[0] == 0.0 and downs[0] is None
-    assert ups[2] is None and downs[2] == 0.0
-    assert ups[1] == pytest.approx(0.0, abs=1e-12)
-    assert downs[1] == pytest.approx(0.135, abs=1e-12)
+    regimes = predict_limiting_speed(l2_gaussian((0.4, 1.3))).per_regime
+    assert regimes[0].up_exp == 0.0 and regimes[0].down_exp is None
+    assert regimes[2].up_exp is None and regimes[2].down_exp == 0.0
+    assert regimes[1].up_exp == pytest.approx(0.0, abs=1e-12)
+    assert regimes[1].down_exp == pytest.approx(0.135, abs=1e-12)
 
 
 def test_sojourn_exponents_l2():
-    assert sojourn_exponents(l2_gaussian((0.4, 1.3))) == pytest.approx((0.08, 0.045, 0.245), abs=1e-12)
+    regimes = predict_limiting_speed(l2_gaussian((0.4, 1.3))).per_regime
+    assert [r.sojourn_exp for r in regimes] == pytest.approx((0.08, 0.045, 0.245), abs=1e-12)
 
 
 def test_invariant_exponents_detailed_balance_steps():
     spec = l2_gaussian((0.4, 1.3))
-    ups, downs = transition_exponents(spec)
-    nu = invariant_exponents(spec)
-    assert nu[0] == 0.0
-    for i in range(1, spec.l + 1):
-        assert nu[i] - nu[i - 1] == pytest.approx(downs[i] - ups[i - 1], abs=1e-12)
+    regimes = predict_limiting_speed(spec).per_regime
+    assert regimes[0].nu_exp == 0.0
+    for below, above in zip(regimes, regimes[1:]):
+        assert above.nu_exp - below.nu_exp == pytest.approx(above.down_exp - below.up_exp, abs=1e-12)
 
 
 def test_dominance_equals_invariant_plus_sojourn_up_to_constant():
     for spec in (l1_gaussian(0.7), l2_gaussian((0.4, 1.3)), l2_gaussian((0.2, 1.8))):
-        lam = dominance_exponents(spec)
-        nu = invariant_exponents(spec)
-        soj = sojourn_exponents(spec)
-        combo = [a + b for a, b in zip(nu, soj)]
-        for i in range(len(lam)):
-            assert lam[i] - lam[0] == pytest.approx(combo[i] - combo[0], abs=1e-12)
+        rep = predict_limiting_speed(spec)
+        combo = [r.nu_exp + r.sojourn_exp for r in rep.per_regime]
+        for i in range(len(rep.lambdas)):
+            assert rep.lambdas[i] - rep.lambdas[0] == pytest.approx(combo[i] - combo[0], abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -192,11 +186,12 @@ def test_exponent_identity_random_gaussian_ladders(gaps, frac):
         window=5,
         initial_regime=0,
     )
-    lam = dominance_exponents(spec)
-    nu = invariant_exponents(spec)
-    soj = sojourn_exponents(spec)
+    rep = predict_limiting_speed(spec)
+    lam, regimes = rep.lambdas, rep.per_regime
     for i in range(len(lam)):
-        assert lam[i] - lam[0] == pytest.approx((nu[i] + soj[i]) - (nu[0] + soj[0]), abs=1e-10)
+        assert lam[i] - lam[0] == pytest.approx(
+            (regimes[i].nu_exp + regimes[i].sojourn_exp) - (regimes[0].nu_exp + regimes[0].sojourn_exp),
+            abs=1e-10)
 
 
 # --------------------------------------------------------------- prediction
