@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_whole``, the integer
+test behind its input checks."""
 
 
 class HistwalkError(Exception):
@@ -31,3 +32,12 @@ class ExcessCensoringError(HistwalkError):
 
 class ConfigError(HistwalkError, ValueError):
     """A config document could not be parsed into a model/run description."""
+
+
+def _whole(x) -> bool:
+    """Whether ``x`` is a number with an integer value; NaN, infinities and
+    strings are not."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False

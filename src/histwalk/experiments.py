@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, sample_n
-from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError
+from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _whole
 from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
@@ -116,7 +116,7 @@ def _in_order(fn, tasks):
 
 
 def _check_seed(master_seed: int) -> int:
-    if master_seed < 0:
+    if not _whole(master_seed) or master_seed < 0:
         raise InvalidInputError(f"master_seed must be a nonnegative integer, got {master_seed}")
     return int(master_seed)
 
@@ -180,6 +180,8 @@ def estimate_speed(
     than an error.
     """
 
+    if not (_whole(steps) and _whole(replicas)):
+        raise InvalidInputError(f"steps and replicas must be integers, got {steps!r} and {replicas!r}")
     steps = int(steps)
     replicas = int(replicas)
     master_seed = _check_seed(master_seed)
@@ -335,6 +337,8 @@ def sweep_window(
         )
     if steps is None:
         steps_used = tuple(map(default_steps_rule(spec), grid))
+    elif not _whole(steps):
+        raise InvalidInputError(f"steps must be an integer, got {steps!r}")
     else:
         steps_used = (int(steps),) * len(grid)
     for n, steps_n in zip(grid, steps_used):
@@ -499,6 +503,8 @@ def fit_exit_statistics(
     grid, samples_per_n, master_seed, i_lo, i_hi = _check_law_grid(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
+    if not _whole(cap):
+        raise InvalidInputError(f"cap must be an integer, got {cap!r}")
     cap = int(cap)
     if cap < grid[-1]:
         raise InvalidInputError(f"cap={cap} is below the largest window {grid[-1]}")
@@ -573,6 +579,8 @@ def estimate_persistence_constant(
 
     if not r < mean(d):
         raise AssumptionError(f"need r strictly below the mean {mean(d)}, got r={r}")
+    if not (_whole(horizon) and _whole(samples)):
+        raise InvalidInputError(f"horizon and samples must be integers, got {horizon!r} and {samples!r}")
     horizon = int(horizon)
     samples = int(samples)
     if horizon < 1 or samples < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimateError, InvalidInputError
+from .errors import DegenerateEstimateError, InvalidInputError, _whole
 
 __all__ = ["SlopeFit", "binomial_se", "check_grid", "check_samples", "fit_log_decay", "fit_log_growth"]
 
@@ -41,7 +41,10 @@ class SlopeFit:
 
 def check_grid(n_grid, minimum: int = 3) -> tuple[int, ...]:
     """A window grid: at least ``minimum`` strictly increasing positive integers."""
-    grid = tuple(int(n) for n in n_grid)
+    grid = tuple(n_grid)
+    if not all(map(_whole, grid)):
+        raise InvalidInputError(f"grid must be strictly increasing positive integers, got {grid}")
+    grid = tuple(map(int, grid))
     if len(grid) < minimum:
         raise InvalidInputError(f"need at least {minimum} grid points, got {len(grid)}")
     if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -51,10 +54,11 @@ def check_grid(n_grid, minimum: int = 3) -> tuple[int, ...]:
 
 def check_samples(samples_per_n) -> int:
     """A sample count per grid point: a positive integer."""
-    samples_per_n = int(samples_per_n)
+    if not _whole(samples_per_n):
+        raise InvalidInputError(f"samples_per_n must be an integer, got {samples_per_n!r}")
     if samples_per_n < 1:
         raise InvalidInputError("samples_per_n must be positive")
-    return samples_per_n
+    return int(samples_per_n)
 
 
 def binomial_se(p, m):

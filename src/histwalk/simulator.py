@@ -84,8 +84,8 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample_n
-from .errors import InvalidInputError
-from .theory import ModelSpec, _whole, threshold_bounds
+from .errors import InvalidInputError, _whole
+from .theory import ModelSpec, threshold_bounds
 
 __all__ = [
     "VERSIONS",
@@ -515,8 +515,8 @@ def run(
     and final window.
 
     ``checkpoint_times`` defaults to ~64 geometrically spaced times in
-    [N, steps]; times given replace that set (they are deduplicated and
-    clipped to [1, steps]).
+    [N, steps]; times given replace that set. Each must be an integer; they
+    are deduplicated, and those outside [1, steps] are dropped.
     """
     delayed = _check_version(version)
     if not _whole(steps):
@@ -525,13 +525,15 @@ def run(
     if steps < spec.window:
         raise InvalidInputError(f"steps={steps} must be at least the window length {spec.window}")
     if checkpoint_times is None:
-        ckpts = _default_checkpoints(spec.window, steps)
+        ckpts = _default_checkpoints(spec.window, steps).tolist()
     else:
-        ckpts = np.unique(np.asarray(list(checkpoint_times), dtype=np.int64))
-        ckpts = ckpts[(ckpts >= 1) & (ckpts <= steps)]
+        times = list(checkpoint_times)
+        if not all(map(_whole, times)):
+            raise InvalidInputError(f"checkpoint_times must be integers, got {times!r}")
+        ckpts = sorted({int(t) for t in times if 1 <= t <= steps})
     bounds = [tuple(spec.window * r for r in threshold_bounds(spec, i)) for i in range(spec.l + 1)]
     walk = _Walk(
-        spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts.tolist(), record_increments
+        spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts, record_increments
     )
     walk.walk()
     return walk.result()

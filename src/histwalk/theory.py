@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, tail_prob
-from .errors import AssumptionError, InvalidChainError, InvalidInputError
+from .errors import AssumptionError, InvalidChainError, InvalidInputError, _whole
 from .ratefn import RateFunction
 
 __all__ = [
@@ -87,14 +87,6 @@ class ModelSpec:
     @property
     def regime_means(self) -> tuple[float, ...]:
         return tuple(mean(d) for d in self.dists)
-
-
-def _whole(x) -> bool:
-    """Whether ``x`` is a number with an integer value; NaN and infinities are not."""
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def threshold_bounds(spec: ModelSpec, i: int) -> tuple[float, float]:

@@ -20,12 +20,13 @@ from histwalk.distributions import (
 from histwalk.errors import InvalidInputError
 
 
-def finite_discretes():
-    """Strategy: modest random finite laws with normalised weights."""
+def finite_discretes(max_atoms=6):
+    """Strategy: random finite laws of up to ``max_atoms`` atoms with
+    normalised weights."""
 
     @st.composite
     def build(draw):
-        k = draw(st.integers(min_value=1, max_value=6))
+        k = draw(st.integers(min_value=1, max_value=max_atoms))
         atoms = sorted(draw(st.lists(
             st.floats(min_value=-5, max_value=5, allow_nan=False),
             min_size=k, max_size=k, unique=True)))
@@ -223,6 +224,23 @@ def test_inverse_cdf_maps_u_at_the_rounded_total_to_the_top_atom():
     top = np.nextafter(1.0, 0.0)
     assert fd._cumw[-1] == top
     assert from_base(fd, np.array([0.0, 0.3, top])).tolist() == [-1.0, 0.0, 2.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_discretes(max_atoms=64), st.integers(min_value=0, max_value=2**32 - 1))
+def test_lattice_mapping_is_the_right_sided_search(fd, seed):
+    # from_base counts cumulative weights on large arrays and searches them on
+    # small ones; both must give the atom that searchsorted(u, "right") picks,
+    # clipped to the top one for u at or above the rounded total
+    cumw = fd._cumw
+    edges = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), np.nextafter(cumw, 1.0)))
+    # 512 draws per atom, enough for the counting side, in rows of 64
+    u = np.concatenate((edges, np.random.default_rng(seed).random(512 * cumw.size - edges.size)))
+    want = fd._atoms.take(cumw.searchsorted(u, "right"), mode="clip")
+    assert np.array_equal(from_base(fd, u), want)
+    assert np.array_equal(from_base(fd, u.reshape(-1, 64)), want.reshape(-1, 64))
+    assert np.array_equal(from_base(fd, edges), want[:edges.size])
+    assert [from_base(fd, u[i:i + 1])[0] for i in range(edges.size)] == want[:edges.size].tolist()
 
 
 def test_sample_discrete_only_hits_atoms():

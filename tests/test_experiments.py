@@ -133,6 +133,14 @@ class TestEstimateSpeed:
             {"replicas": 1},
             {"master_seed": -1},
             {"version": "sofort"},
+            # counts that are not whole numbers are refused, not truncated
+            {"steps": 5_000.9},
+            {"replicas": 2.9},
+            {"master_seed": 1.5},
+            {"steps": math.nan},
+            {"replicas": math.inf},
+            {"master_seed": math.nan},
+            {"steps": "5000"},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
@@ -140,6 +148,12 @@ class TestEstimateSpeed:
         args.update(kwargs)
         with pytest.raises(InvalidInputError):
             estimate_speed(near_flip_spec(), **args)
+
+    def test_whole_floats_are_taken_as_counts(self):
+        a = estimate_speed(near_flip_spec(), "delayed", 5_000.0, 2.0, 4.0)
+        b = estimate_speed(near_flip_spec(), "delayed", 5_000, 2, 4)
+        assert (a.steps, a.replicas, a.master_seed) == (5_000, 2, 4)
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
     def test_reports_are_reproducible(self):
         a = estimate_speed(l1_gaussian(), "instantaneous", 30_000, 2, 77)
@@ -239,6 +253,11 @@ class TestSweepWindow:
         with pytest.raises(InvalidInputError):
             sweep_window(l1_gaussian(), "delayed", (), 2, 0, steps=10_000)
 
+    @pytest.mark.parametrize("grid, steps", [((4, 5.5), 10_000), ((4, math.nan), 10_000), ((4, 6), 10_000.5)])
+    def test_grid_and_steps_must_be_whole(self, grid, steps):
+        with pytest.raises(InvalidInputError):
+            sweep_window(l1_gaussian(), "delayed", grid, 2, 0, steps=steps)
+
     def test_every_step_budget_is_checked_before_the_first_run(self, monkeypatch):
         calls = []
         real_run = experiments.run
@@ -336,6 +355,9 @@ class TestBlockExponents:
             {"samples_per_n": 0},
             {"master_seed": -1},
             {"r_hi": 1.5},
+            {"n_grid": (2, 3.5, 4)},
+            {"samples_per_n": 100.5},
+            {"master_seed": math.inf},
         ],
     )
     def test_rejects_bad_arguments(self, args):
@@ -387,6 +409,14 @@ class TestExitStatistics:
             {"r_lo": -1.5},
             {"samples_per_n": 0},
             {"master_seed": -1},
+            # counts that are not whole numbers are refused, not truncated
+            {"samples_per_n": 50.7},
+            {"cap": 10_000.5},
+            {"cap": math.nan},
+            {"cap": math.inf},
+            {"n_grid": (2, 3, 4.5)},
+            {"n_grid": (2, 3, math.nan)},
+            {"master_seed": 1.5},
         ],
     )
     def test_rejects_bad_arguments(self, args):
@@ -406,6 +436,12 @@ class TestExitStatistics:
     def test_reports_are_reproducible(self):
         a = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 500, 100_000, 3)
         b = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 500, 100_000, 3)
+        assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
+
+    def test_whole_floats_are_taken_as_counts(self):
+        a = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4.0, 6.0, 8.0), 500.0, 100_000.0, 3.0)
+        b = fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 500, 100_000, 3)
+        assert (a.n_grid, a.samples_per_n, a.cap, a.master_seed) == ((4, 6, 8), 500, 100_000, 3)
         assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
@@ -460,6 +496,9 @@ class TestPersistence:
             {"horizon": 0},
             {"samples": 0},
             {"master_seed": -1},
+            {"horizon": 5.5},
+            {"samples": math.nan},
+            {"master_seed": 0.5},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):

@@ -188,6 +188,18 @@ def test_run_rejects_bad_args():
             run(spec, "delayed", steps, AnyRng(0))
     whole = run(spec, "delayed", 100.0, AnyRng(0))
     assert whole.steps == 100 and whole.position == run(spec, "delayed", 100, AnyRng(0)).position
+    for times in ([50.7], [math.nan], ["5"], [math.inf]):
+        with pytest.raises(InvalidInputError):
+            run(spec, "delayed", 100, AnyRng(0), checkpoint_times=times)
+
+
+def test_checkpoint_times_past_the_horizon_are_dropped_however_large():
+    spec = rademacher_spec(4)
+    want = run(spec, "delayed", 100, AnyRng(0), checkpoint_times=[50])
+    for times in ([50, 1e30], [50.0, 10**30, 101], [0, 50, -(10**30)]):
+        got = run(spec, "delayed", 100, AnyRng(0), checkpoint_times=times)
+        assert got.trace.times.tolist() == [50]
+        assert got.trace.positions.tolist() == want.trace.positions.tolist()
 
 
 def reference_path(spec, version, steps, rng):
