@@ -7,10 +7,9 @@ and sampling. All of these stay finite and stable for |t| up to several
 hundred; discrete laws use a max-exponent shift, never raw exp sums.
 
 A finite discrete law maps a uniform u to the atom whose cumulative weight
-first exceeds it. On arrays of a few hundred draws per atom or more it counts
-the cumulative weights at or below u, one vectorised comparison per atom,
-which beats a binary search up to the 128 atoms an int8 count holds; smaller
-arrays, such as the reference step's single draws, take ``searchsorted``.
+first exceeds it. Up to the 128 atoms an int8 count holds, it counts the
+cumulative weights at or below u, one vectorised comparison per atom; larger
+supports take a binary search, ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -181,24 +180,24 @@ def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
     """One draw of ``d`` per base variate: affine for a Gaussian, inverse CDF otherwise.
 
     A finite discrete law's index for u is the number of cumulative weights
-    at or below u, which is ``searchsorted(u, "right")``; on arrays of at
-    least 256 draws per atom it is counted with one comparison per atom.
+    at or below u, which is ``searchsorted(u, "right")``; up to 128 atoms it
+    is counted with one comparison per atom.
     """
     if isinstance(d, Gaussian):
         return d.mu + math.sqrt(d.sigma2) * z
     if isinstance(d, Rademacher):
         return np.where(z < 1.0 - d.p, -1.0, 1.0)
     cumw = d._cumw
-    # Each comparison is one numpy call, a few microseconds with its add,
-    # while a binary search is one call whose cost per draw grows with log2
-    # of the atoms. Timed on one CPU of a shared 2-CPU x86 host (numpy 2.4,
-    # each branch alone, best of 7), the two broke even at about 256 draws
-    # per atom for 2 to 16 atoms and sooner for more; at 256 draws per atom,
-    # counting took 5.5 against 5.4 ns/draw at 4 atoms, 9.3 against 30 at 32
-    # and 23 against 52 at 128, the most an int8 count holds. The last weight
-    # is skipped: only a u at or above the total, which may fall short of 1
-    # by rounding, passes it, and the clip gives that u the top atom anyway.
-    if cumw.size <= 128 and z.size >= 256 * cumw.size:
+    # A binary search costs more per draw than one comparison and its add,
+    # so counting wins on long arrays while it does at most 127 of them.
+    # Timed on one CPU of a shared 2-CPU x86 host (numpy 2.4, best of 7, on
+    # 2^15 uniforms), counting took 0.8 against 18 ns/draw at 4 atoms, 8.4
+    # against 48 at 32 and 30 against 73 at 128, the most an int8 count
+    # holds. On a single draw, as the reference step makes, it is slower:
+    # about 9 against 0.9 us at 4 atoms. The last weight is skipped: only a
+    # u at or above the total, which may fall short of 1 by rounding, passes
+    # it, and the clip gives that u the top atom anyway.
+    if cumw.size <= 128:
         idx = np.zeros(z.shape, dtype=np.int8)
         for c in cumw[:-1]:
             idx += (z >= c).view(np.int8)

@@ -229,18 +229,34 @@ def test_inverse_cdf_maps_u_at_the_rounded_total_to_the_top_atom():
 @settings(max_examples=60, deadline=None)
 @given(finite_discretes(max_atoms=64), st.integers(min_value=0, max_value=2**32 - 1))
 def test_lattice_mapping_is_the_right_sided_search(fd, seed):
-    # from_base counts cumulative weights on large arrays and searches them on
-    # small ones; both must give the atom that searchsorted(u, "right") picks,
-    # clipped to the top one for u at or above the rounded total
+    # from_base counts the cumulative weights at or below u; that must be the
+    # atom searchsorted(u, "right") picks, clipped to the top one for u at or
+    # above the rounded total
     cumw = fd._cumw
     edges = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), np.nextafter(cumw, 1.0)))
-    # 512 draws per atom, enough for the counting side, in rows of 64
-    u = np.concatenate((edges, np.random.default_rng(seed).random(512 * cumw.size - edges.size)))
+    # the edges, then random uniforms up to a whole number of rows of 64
+    u = np.concatenate((edges, np.random.default_rng(seed).random(64 * (edges.size // 64 + 4) - edges.size)))
     want = fd._atoms.take(cumw.searchsorted(u, "right"), mode="clip")
     assert np.array_equal(from_base(fd, u), want)
     assert np.array_equal(from_base(fd, u.reshape(-1, 64)), want.reshape(-1, 64))
     assert np.array_equal(from_base(fd, edges), want[:edges.size])
     assert [from_base(fd, u[i:i + 1])[0] for i in range(edges.size)] == want[:edges.size].tolist()
+
+
+@pytest.mark.parametrize("k", [127, 128, 129, 200])
+def test_lattice_mapping_around_the_largest_count(k):
+    # an int8 count holds the 127 comparisons of 128 atoms; larger laws are
+    # searched, and both must give the right-sided search's atom
+    rng = np.random.default_rng(k)
+    w = rng.random(k) + 0.05
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    fd = FiniteDiscrete(tuple(map(float, range(k))), tuple(w))
+    cumw = fd._cumw
+    u = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), rng.random(4096)))
+    want = fd._atoms.take(cumw.searchsorted(u, "right"), mode="clip")
+    assert np.array_equal(from_base(fd, u), want)
+    assert want.max() == k - 1
 
 
 def test_sample_discrete_only_hits_atoms():
