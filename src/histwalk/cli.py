@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import sys
 from dataclasses import asdict, fields
 
 import click
@@ -28,6 +27,7 @@ from .errors import (
     InvalidChainError,
     InvalidInputError,
     NonConvergenceError,
+    _real,
 )
 from .experiments import (
     estimate_persistence_constant,
@@ -77,24 +77,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """A JSON number a float can hold: strings, booleans and integers beyond
-    the float range are rejected, not coerced."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
-
-
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
-    if not _is_number(value):
+    if not _real(value):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     return float(value)
 
 
 def _numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
     value = obj[key]
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+    if not isinstance(value, list) or not all(_real(v) for v in value):
         raise ConfigError(f"{where}.{key} must be a list of numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
@@ -103,7 +95,7 @@ def _numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
 _RUN_KEYS = {
     "version": (" or ".join(map(repr, VERSIONS)), VERSIONS.__contains__),
     **dict.fromkeys(("steps", "replicas", "seed", "samples", "cap", "horizon"), ("an integer", _is_int)),
-    **dict.fromkeys(("r", "r_lo", "r_hi"), ("a number", _is_number)),
+    **dict.fromkeys(("r", "r_lo", "r_hi"), ("a number", _real)),
     "n_grid": ("a list of integers", lambda value: isinstance(value, list) and all(map(_is_int, value))),
 }
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _real, _whole
 
 __all__ = [
     "Gaussian",
@@ -46,6 +46,8 @@ class Gaussian:
     sigma2: float
 
     def __post_init__(self) -> None:
+        if not (_real(self.mu) and _real(self.sigma2)):
+            raise InvalidInputError(f"mu and sigma2 must be numbers, got {self.mu!r} and {self.sigma2!r}")
         if not (self.sigma2 > 0.0) or not math.isfinite(self.sigma2):
             raise InvalidInputError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         if not math.isfinite(self.mu):
@@ -59,8 +61,8 @@ class Rademacher:
     p: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p < 1.0):
-            raise InvalidInputError(f"p must lie in (0, 1), got {self.p}")
+        if not (_real(self.p) and 0.0 < self.p < 1.0):
+            raise InvalidInputError(f"p must lie in (0, 1), got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,10 @@ class FiniteDiscrete:
     _cumw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(float(a) for a in self.atoms)
-        weights = tuple(float(w) for w in self.weights)
+        atoms, weights = tuple(self.atoms), tuple(self.weights)
+        if not all(map(_real, atoms + weights)):
+            raise InvalidInputError(f"atoms and weights must be numbers, got {atoms} and {weights}")
+        atoms, weights = tuple(map(float, atoms)), tuple(map(float, weights))
         if len(atoms) == 0 or len(atoms) != len(weights):
             raise InvalidInputError("atoms and weights must be equal-length and non-empty")
         if any(not math.isfinite(a) for a in atoms):
@@ -218,8 +222,9 @@ def sample_mean_sums(d: IncrementDistribution, n: int, size: int, rng) -> np.nda
     finite discrete sums are multinomial atom counts dotted with the atoms.
     Distributionally identical to summing n single draws, at O(size) cost.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if not _whole(n) or n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     if isinstance(d, Gaussian):
         return n * d.mu + math.sqrt(n * d.sigma2) * rng.standard_normal(size)
     if isinstance(d, Rademacher):

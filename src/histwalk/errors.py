@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and ``_whole``, the integer
-test behind its input checks."""
+"""Exception types shared across the package, and ``_whole`` and ``_real``,
+the integer and number tests behind its input checks."""
+
+import numbers
 
 
 class HistwalkError(Exception):
@@ -41,3 +43,15 @@ def _whole(x) -> bool:
         return int(x) == x
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _real(x) -> bool:
+    """Whether ``x`` is a real number a float can hold, NaN and infinities
+    included; strings and bools are not, though ``float`` takes them."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True

@@ -6,6 +6,8 @@ so identical inputs give identical reports. Speed replicas and block-crossing
 grid points run on threads, one per available CPU (numpy's sampling and
 cumsums release the GIL); each keeps its own generator, and the results are
 folded in task order, so reports do not depend on how many CPUs there are.
+Block-crossing grid points are handed out largest window first, as a block
+costs 2N-1 draws, and their tallies are folded back in grid order.
 Speed runs aggregate per-replica terminal averages with batch-means error
 bars; the grid experiments wrap raw counts into slope fits against the
 matching rate-function values.
@@ -431,8 +433,10 @@ def fit_block_exponents(
         n, child = task
         return sample_block_outcomes(d, r_lo, r_hi, n, np.random.default_rng(child), samples_per_n)
 
+    # largest windows first, as a block costs 2N-1 draws
     children = np.random.SeedSequence(master_seed).spawn(len(grid))
-    for tally in _in_order(point, zip(grid, children)):
+    tallies = list(_in_order(point, reversed(tuple(zip(grid, children)))))
+    for tally in reversed(tallies):
         for out in counts:
             counts[out].append(tally[out])
 

@@ -66,6 +66,12 @@ N <= 2048, 4,098 to 8,192 draws in for 2048 < N <= 4096, and the first block
 when N > 4096. It and ``sample_block_outcomes`` decide on cumsum differences
 too, so a sum that ties a threshold only up to rounding may go either way.
 
+``sample_block_outcomes`` draws its fresh blocks of 2N-1 increments in
+batches of at most 2^13 draws, row-major in block order, and lays each batch
+out one column per block, so the N window sums of every block are the
+difference of two row slices and their max and min run across contiguous
+rows.
+
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
 and the cost per step grows with N / 2^13. No shipped config uses such
@@ -634,6 +640,11 @@ def sample_block_outcomes(
 
     Blocks are drawn in batches of max(1, 2^13 // 2N) rows, each row the next
     2N-1 draws of the stream, so the counts do not depend on the batch size.
+    A batch is laid out one column per block: the cumsum of the transposed
+    rows fills a (2N, rows) array below a row of zeros, so each block's
+    window sums are a difference of two row slices, and its max and min are
+    element-wise reductions across contiguous rows. Each column sums in the
+    order its row would, so every window sum is the same float.
     """
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
@@ -647,11 +658,11 @@ def sample_block_outcomes(
     up = down = both = 0
     for done in range(0, count, rows_per_batch):
         rows = min(rows_per_batch, count - done)
-        c0 = np.zeros((rows, 2 * n))
-        np.cumsum(sample_n(d, rows * (2 * n - 1), rng).reshape(rows, 2 * n - 1), axis=1, out=c0[:, 1:])
-        ws = c0[:, n:] - c0[:, :n]  # N window sums per row
-        crossed_up = ws.max(axis=1) >= hi
-        crossed_down = ws.min(axis=1) < lo
+        c0 = np.zeros((2 * n, rows))
+        np.cumsum(sample_n(d, rows * (2 * n - 1), rng).reshape(rows, 2 * n - 1).T, axis=0, out=c0[1:])
+        ws = c0[n:] - c0[:n]  # N window sums per column
+        crossed_up = ws.max(axis=0) >= hi
+        crossed_down = ws.min(axis=0) < lo
         up += int(np.count_nonzero(crossed_up))
         down += int(np.count_nonzero(crossed_down))
         both += int(np.count_nonzero(crossed_up & crossed_down))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, tail_prob
-from .errors import AssumptionError, InvalidChainError, InvalidInputError, _whole
+from .errors import AssumptionError, InvalidChainError, InvalidInputError, _real, _whole
 from .ratefn import RateFunction
 
 __all__ = [
@@ -58,7 +58,10 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dists", tuple(self.dists))
-        object.__setattr__(self, "thresholds", tuple(float(r) for r in self.thresholds))
+        thresholds = tuple(self.thresholds)
+        if not all(map(_real, thresholds)):
+            raise InvalidInputError(f"thresholds must be numbers, got {thresholds}")
+        object.__setattr__(self, "thresholds", tuple(map(float, thresholds)))
         if len(self.thresholds) < 1:
             raise InvalidInputError("need at least one threshold")
         if len(self.dists) != len(self.thresholds) + 1:

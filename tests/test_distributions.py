@@ -62,6 +62,15 @@ def test_mean_hand_values():
     lambda: FiniteDiscrete((), ()),
     lambda: FiniteDiscrete((-1.0, 1.0), (math.nan, 0.5)),
     lambda: FiniteDiscrete((-1.0, 1.0), (0.5, math.nan)),
+    # strings and bools are refused, not coerced by float() or compared
+    lambda: Gaussian("0", 1.0),
+    lambda: Gaussian(0.0, "1"),
+    lambda: Gaussian(True, 1.0),
+    lambda: Gaussian(None, 1.0),
+    lambda: Rademacher("0.3"),
+    lambda: FiniteDiscrete(("-1", "1"), (0.5, 0.5)),
+    lambda: FiniteDiscrete((-1.0, 1.0), ("0.5", "0.5")),
+    lambda: FiniteDiscrete((0.0,), (True,)),
 ])
 def test_invalid_construction_rejected(bad):
     with pytest.raises(InvalidInputError):
@@ -282,6 +291,20 @@ def test_sum_sampler_rademacher_parity():
     s = sample_mean_sums(Rademacher(0.4), 7, 5000, rng)
     assert np.all(np.abs(s) <= 7)
     assert np.all((s - 7) % 2 == 0)
+
+
+@pytest.mark.parametrize("d", [
+    Gaussian(0.2, 1.5),
+    Rademacher(0.6),
+    FiniteDiscrete((-1.0, 0.0, 2.0), (0.25, 0.5, 0.25)),
+])
+def test_sum_sampler_rejects_counts_that_are_not_whole(d):
+    # n=2.5 would give Rademacher sums off the lattice, such as -0.5
+    for n in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(InvalidInputError):
+            sample_mean_sums(d, n, 10, np.random.default_rng(0))
+    whole = sample_mean_sums(d, 3.0, 10, np.random.default_rng(0))
+    assert np.array_equal(whole, sample_mean_sums(d, 3, 10, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("d", [

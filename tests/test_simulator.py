@@ -850,6 +850,36 @@ def test_block_counts_do_not_depend_on_the_batch_size(monkeypatch, d, n):
     assert sum(counts[0].values()) == 1001
 
 
+# Each law with a band its windows leave often at N <= 40 and a narrow one
+# for N=5000, whose single row of 9999 draws is longer than the 2^13 batch
+# cap. The lattice thresholds are window sums its float cumsums tie only up
+# to rounding, at every N.
+BLOCK_LAWS = {
+    "gaussian": (Gaussian(1.0, 1.0), (0.6, 1.4), (0.98, 1.02)),
+    "rademacher": (Rademacher(0.3), (-0.5, 0.0), (-0.42, -0.38)),
+    "lattice": (FiniteDiscrete((-0.3, 0.1, 0.7), (0.2, 0.3, 0.5)), (0.1, 0.5), (0.31, 0.33)),
+}
+PINNED_BLOCK_DIGESTS = {
+    "gaussian": "8df100f1c43618dff6c04baa9b83004c7d605d847656a1cbd1c862fb3dd3efd8",
+    "rademacher": "c7171790c900ec86cab8bc0712ced79bd85dff399f451e6b51557e11267b1f48",
+    "lattice": "88c6002bd5ffe4ad1bb8942df0206717d8ebdb4cb734a09ec9196f4a85c385db",
+}
+
+
+@pytest.mark.parametrize("law", sorted(BLOCK_LAWS))
+def test_block_counts_match_pinned_digest(law):
+    # a change of batch layout or summation order that moves a single window
+    # sum across a threshold moves a tally, and so the digest
+    d, band, narrow = BLOCK_LAWS[law]
+    h = hashlib.sha256()
+    cases = ((1, 5000, band), (2, 5000, band), (3, 5000, band), (7, 3001, band), (40, 1001, band), (5000, 5, narrow))
+    for n, count, (r_lo, r_hi) in cases:
+        for seed in (0, 1, 2):
+            counts = sample_block_outcomes(d, r_lo, r_hi, n, AnyRng(seed), count)
+            h.update(repr((n, seed, [counts[out] for out in BlockOutcome])).encode())
+    assert h.hexdigest() == PINNED_BLOCK_DIGESTS[law]
+
+
 def test_block_memory_is_a_few_batches():
     # each batch holds at most 2^13 elements, not 2^22 several times over
     d = Gaussian(1.0, 1.0)

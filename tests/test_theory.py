@@ -58,6 +58,10 @@ def test_model_spec_shape():
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=math.nan, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=math.inf, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5, initial_regime=0.5),
+    # strings and bools, which float() would coerce to 0.4 and 1.0
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=("0.4",), window=5, initial_regime=0),
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(True,), window=5, initial_regime=0),
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(None,), window=5, initial_regime=0),
 ])
 def test_model_spec_structural_errors(kwargs):
     with pytest.raises(InvalidInputError):
