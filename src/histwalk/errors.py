@@ -37,8 +37,10 @@ class ConfigError(HistwalkError, ValueError):
 
 
 def _whole(x) -> bool:
-    """Whether ``x`` is a number with an integer value; NaN, infinities and
-    strings are not."""
+    """Whether ``x`` is a real number with an integer value; NaN, infinities,
+    strings and bools are not, though ``int`` takes all but the first two."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
     try:
         return int(x) == x
     except (TypeError, ValueError, OverflowError):

@@ -6,7 +6,11 @@ once the current law has produced the full window, for the delayed version)
 and then draws one increment from the active law. Decisions compare the
 window SUM against N*threshold, half-open: strictly below the lower threshold
 moves down, at-or-above the upper one moves up. The first N steps always use
-the initial regime, for both versions.
+the initial regime, for both versions. Apart from the one-step reference
+and ``_straddle``'s roll, every window sum a decision reads is a difference
+of two entries of one zero-prefixed cumsum over a carried window and new
+draws, taken by ``_window_sums``; the walker's lanes and fresh stays decide
+on such sums with ``_outside``, the half-open test.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
 the reference semantics. ``run`` implements the same dynamics with a block
@@ -18,15 +22,14 @@ and the first decision is found like every later one. The cap keeps the
 walker's memory to a few arrays of one block, each small enough that the
 allocator reuses freed blocks instead of mapping new pages. For each block,
 and for each regime the first time it draws in the block, a lane maps the
-block with that regime's law, takes one cumsum over the actual window
-followed by the mapped draws, and lists as Python ints the positions where
-the window sum leaves the regime's [lo, hi) and on which side.
+block with that regime's law and lists as Python ints the positions where
+the window sum is outside the regime's bounds and on which side.
 
 The block is then walked as a chain of passes, one per stay's draws in the
 block. A pass looks up its stay's exit, the first listed position at or
 after its first rule evaluation: N draws after a delayed switch, one after an
 instantaneous one, whose first N-1 windows still hold the old law's draws and
-are summed from the actual window instead. It moves the position by the
+are rolled from the actual window by ``_straddle`` instead. It moves the position by the
 difference of two cumsum entries, read as Python floats through a memoryview,
 and records where it ends, without reading a numpy scalar. As soon as it is
 walked, it copies its draws into the block's actual draws, unless its lane is
@@ -51,26 +54,25 @@ schedule. Every stay starts at time 0, so the rows whose stays go on share
 round k's block of ``max(64, 2N) << k`` draws, capped at 2^13 and at the
 remaining budget, and the round draws the next (rows x block) base variates,
 row-major, in stay order. It takes them in slices of at most 2^13 elements
-(one row at least): a slice maps its draws, takes a cumsum along rows over
-the carried windows, and finds each row's first window sum outside [lo, hi)
-from the stay's first evaluation (time N) on with one argmax; the rows whose
-stays end in the block retire, leaving the rest of it unused. Consecutive
-slices use the stream as one would, so the stays do not depend on the slice
-size. With one row this is ``run``'s schedule, so a fresh stay and a run's
-first sojourn from the same seed make the same draws. They differ only at the
-horizon: ``run`` censors a stay whose exit is decided on its last draw,
-because that decision would govern a draw that never happens, while
-``sample_exit`` counts an exit on its cap-th draw. The 2^13 cap first
-shortens the block that starts 6,150 to 16,320 draws into the walk for
-N <= 2048, 4,098 to 8,192 draws in for 2048 < N <= 4096, and the first block
-when N > 4096. It and ``sample_block_outcomes`` decide on cumsum differences
-too, so a sum that ties a threshold only up to rounding may go either way.
+(one row at least): a slice maps its draws, lays them out one column per
+stay below the carried windows, takes the window sums from the stay's first
+evaluation (time N) on, and finds each column's first sum outside the bounds
+with one argmax; the rows whose stays end in the block retire, leaving the
+rest of it unused. Consecutive slices use the stream as one would, so the
+stays do not depend on the slice size. With one row this is ``run``'s
+schedule, so a fresh stay and a run's first sojourn from the same seed make
+the same draws. They differ only at the horizon: ``run`` censors a stay
+whose exit is decided on its last draw, because that decision would govern a
+draw that never happens, while ``sample_exit`` counts an exit on its cap-th
+draw. The 2^13 cap first shortens the block that starts 6,150 to 16,320
+draws into the walk for N <= 2048, 4,098 to 8,192 draws in for
+2048 < N <= 4096, and the first block when N > 4096. It and
+``sample_block_outcomes`` decide on cumsum differences too, so a sum that
+ties a threshold only up to rounding may go either way.
 
-``sample_block_outcomes`` draws its fresh blocks of 2N-1 increments in
-batches of at most 2^13 draws, row-major in block order, and lays each batch
-out one column per block, so the N window sums of every block are the
-difference of two row slices and their max and min run across contiguous
-rows.
+``sample_block_outcomes`` lays its batches of fresh blocks out one column
+per block, and decides by the max and min of each block's window sums: the
+half-open test in fewer passes than ``_outside``'s masks.
 
 Known limit: each lane copies and sums the whole carried window of N
 increments, so above N = 2^13 a block of at most 2^13 draws also pays for N,
@@ -282,6 +284,23 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
     return pts[(pts >= n) & (pts <= steps)]
 
 
+def _window_sums(x: np.ndarray, n: int, first: int = 0):
+    """The zero-prefixed cumsum ``c0`` of ``x`` down its first axis, and its
+    N-window sums from the ``first``-th on, ``c0[first + N:] - c0[first:-N]``.
+    Each column sums in order, so its sums do not depend on the layout."""
+    c0 = np.zeros((len(x) + 1, *x.shape[1:]))
+    np.cumsum(x, axis=0, out=c0[1:])
+    return c0, c0[first + n:] - c0[first:-n]
+
+
+def _outside(ws: np.ndarray, lo: float, hi: float):
+    """The half-open test: ``(out, up)`` marks window sums outside [lo, hi), and at or above hi."""
+    up = ws >= hi
+    out = ws < lo
+    out |= up
+    return out, up
+
+
 def _straddle(actual: np.ndarray, full: memoryview, o: int, p: int, m: int, n: int, lo: float, hi: float):
     """The first window sum at block positions p+1..p+N-1 (at most m) outside
     [lo, hi), for a stay that re-enters its regime at ``p`` under the
@@ -450,24 +469,18 @@ class _Walk:
 
         ``full`` is ``window``, the actual last N draws (zeros before time
         N), followed by the regime's law mapped over ``z[q:]``, and ``c0`` is
-        its zero-prefixed cumsum, both as memoryviews of floats. So the draw at
-        block position b is ``full[N - q + b]``, and the sum of the N draws
+        its ``_window_sums`` cumsum, both as memoryviews of floats. So the draw
+        at block position b is ``full[N - q + b]``, and the sum of the N draws
         before it is ``c0[N - q + b] - c0[b - q]``. ``exits`` lists, ascending,
-        the block positions from q on at which that sum leaves the regime's
-        [lo, hi), and ``ups[b]`` is 1 where it is at or above hi. A last exit
+        the block positions from q on at which ``_outside`` finds that sum out
+        of the regime's bounds, and ``ups[b]`` is 1 where it is out upward. A last exit
         at m + N + 1, for a block of m draws, stands for none: a stay's next
         evaluation is at most N past the block's end.
         """
         n, m = self.n, len(z)
-        lo, hi = self.bounds[regime]
         full = np.concatenate((window, from_base(self.laws[regime], z[q:])))
-        c0 = np.empty(n + m - q + 1)
-        c0[0] = 0.0
-        full.cumsum(out=c0[1:])
-        ws = c0[n:] - c0[:-n]
-        up = ws >= hi
-        out = ws < lo
-        out |= up
+        c0, ws = _window_sums(full, n)
+        out, up = _outside(ws, *self.bounds[regime])
         exits = out.nonzero()[0]
         if q:
             exits += q
@@ -545,6 +558,18 @@ def run(
     return walk.result()
 
 
+def _fresh_args(r_lo, r_hi, n, count, cap):
+    """A fresh sampler's N, count and cap as checked ints, and N times each threshold."""
+    if not r_lo < r_hi:
+        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
+    if not (_whole(n) and _whole(count) and _whole(cap)):
+        raise InvalidInputError(f"N, count and cap must be integers, got N={n!r}, count={count!r}, cap={cap!r}")
+    n, count, cap = int(n), int(count), int(cap)
+    if not (1 <= n <= cap and count >= 1):
+        raise InvalidInputError(f"need 1 <= N <= cap and count >= 1, got N={n}, cap={cap}, count={count}")
+    return n, count, cap, n * r_lo, n * r_hi
+
+
 def sample_exit(
     d: IncrementDistribution,
     r_lo: float,
@@ -562,58 +587,42 @@ def sample_exit(
     exceed ``cap`` draws is censored at ``cap``. The stays are the rows of one
     block schedule, as the module docstring describes.
     """
-    if not r_lo < r_hi:
-        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    if not (_whole(n) and _whole(cap) and _whole(count)):
-        raise InvalidInputError(f"N, cap and count must be integers, got {n!r}, {cap!r} and {count!r}")
-    n, cap, count = int(n), int(cap), int(count)
-    if n < 1 or cap < n:
-        raise InvalidInputError(f"need 1 <= N <= cap, got N={n}, cap={cap}")
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
-    lo, hi = n * r_lo, n * r_hi
+    n, count, cap, lo, hi = _fresh_args(r_lo, r_hi, n, count, cap)
     stay_steps = np.full(count, cap, dtype=np.int64)
     stay_displacements = np.zeros(count)
     stay_exits = np.zeros(count, dtype=np.int8)
-    live = np.arange(count)  # the rows whose stays go on, in stay order
-    # their last N draws, one row each, read from round 1 on: round 0's
-    # carried windows are zeros. Rows kept in a round move to the front of
+    live = np.arange(count)  # the stays that go on, in stay order
+    # their last N draws, one column each, read from round 1 on: round 0's
+    # carried windows are zeros. Stays kept in a round move to the front of
     # ``live`` and ``windows``, at or before the slice they are read from.
-    windows = np.empty((count, n))
+    windows = np.empty((n, count))
     t = drawn = grown = 0
     while live.size and t < cap:
         m = min(_block_size(n, grown), cap - t)
         grown += 1
-        first = max(n - t, 1)  # the first block position whose window sum is evaluated
+        # the first block position evaluated: N in round 0 (its block holds the refill, as cap >= N), then 1
+        first = max(n - t, 1)
         rows_per_slice = max(1, _BLOCK_CAP // (n + m + 1))
         kept = 0
         for a in range(0, live.size, rows_per_slice):
             rows = live[a:a + rows_per_slice]
             k = rows.size
-            window = windows[a:a + k] if t else np.zeros((k, n))
-            full = np.concatenate((window, from_base(d, base_variates(d, k * m, rng).reshape(k, m))), axis=1)
-            c0 = np.empty((k, n + m + 1))
-            c0[:, 0] = 0.0
-            np.cumsum(full, axis=1, out=c0[:, 1:])
+            window = windows[:, a:a + k] if t else np.zeros((n, k))
+            full = np.concatenate((window, from_base(d, base_variates(d, k * m, rng).reshape(k, m)).T))
+            c0, ws = _window_sums(full, n, first)  # window sums at block positions first..m
+            out, up = _outside(ws, lo, hi)
+            j = out.argmax(axis=0)
             each = np.arange(k)
-            end = np.full(k, m)  # the block position where each row's pass ends
-            going = np.ones(k, dtype=bool)  # the rows whose stays go on past the block
-            if first <= m:
-                ws = c0[:, first + n:] - c0[:, first:m + 1]  # window sums at block positions first..m
-                up = ws >= hi
-                out = ws < lo
-                out |= up
-                j = out.argmax(axis=1)
-                hit = out[each, j].nonzero()[0]
-                j = j[hit]
-                end[hit] = first + j
-                going[hit] = False
-                stay_steps[rows[hit]] = t + first + j
-                stay_exits[rows[hit]] = np.where(up[hit, j], 1, -1)
-            stay_displacements[rows] += c0[each, n + end] - c0[:, n]
+            exited = out[j, each]
+            end = np.where(exited, first + j, m)  # the block position where each stay's pass ends
+            hit = exited.nonzero()[0]
+            stay_steps[rows[hit]] = t + end[hit]
+            stay_exits[rows[hit]] = np.where(up[j[hit], hit], 1, -1)
+            stay_displacements[rows] += c0[n + end, each] - c0[n]
+            going = ~exited
             rows = rows[going]
             live[kept:kept + rows.size] = rows
-            windows[kept:kept + rows.size] = full[going, m:]
+            windows[:, kept:kept + rows.size] = full[m:, going]
             kept += rows.size
         drawn += live.size * m
         t += m
@@ -640,27 +649,16 @@ def sample_block_outcomes(
 
     Blocks are drawn in batches of max(1, 2^13 // 2N) rows, each row the next
     2N-1 draws of the stream, so the counts do not depend on the batch size.
-    A batch is laid out one column per block: the cumsum of the transposed
-    rows fills a (2N, rows) array below a row of zeros, so each block's
-    window sums are a difference of two row slices, and its max and min are
-    element-wise reductions across contiguous rows. Each column sums in the
-    order its row would, so every window sum is the same float.
+    A batch is laid out one column per block, so ``_window_sums`` of the
+    transposed rows gives every block's window sums as the row would, and
+    their max and min are element-wise reductions across contiguous rows.
     """
-    if not r_lo < r_hi:
-        raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    if not (_whole(n) and _whole(count)):
-        raise InvalidInputError(f"N and count must be integers, got {n!r} and {count!r}")
-    n, count = int(n), int(count)
-    if n < 1 or count < 1:
-        raise InvalidInputError("N and count must be >= 1")
-    lo, hi = n * r_lo, n * r_hi
+    n, count, _, lo, hi = _fresh_args(r_lo, r_hi, n, count, n)  # a block has no cap: N stands in
     rows_per_batch = max(1, _BLOCK_CAP // (2 * n))
     up = down = both = 0
     for done in range(0, count, rows_per_batch):
         rows = min(rows_per_batch, count - done)
-        c0 = np.zeros((2 * n, rows))
-        np.cumsum(sample_n(d, rows * (2 * n - 1), rng).reshape(rows, 2 * n - 1).T, axis=0, out=c0[1:])
-        ws = c0[n:] - c0[:n]  # N window sums per column
+        _, ws = _window_sums(sample_n(d, rows * (2 * n - 1), rng).reshape(rows, 2 * n - 1).T, n)
         crossed_up = ws.max(axis=0) >= hi
         crossed_down = ws.min(axis=0) < lo
         up += int(np.count_nonzero(crossed_up))

@@ -141,6 +141,9 @@ class TestEstimateSpeed:
             {"replicas": math.inf},
             {"master_seed": math.nan},
             {"steps": "5000"},
+            # bools, which int() would take as seed 0
+            {"master_seed": False},
+            {"master_seed": np.True_},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
@@ -599,6 +602,9 @@ class TestInOrder:
             release.wait(10)
             return k
 
+        # a process started with SIGINT ignored, as a background job of a
+        # non-interactive shell is, gets no KeyboardInterrupt from it
+        old = signal.signal(signal.SIGINT, signal.default_int_handler)
         start = time.monotonic()
         try:
             with pytest.raises(KeyboardInterrupt):
@@ -607,6 +613,7 @@ class TestInOrder:
             assert len(done_by_main) == 7
         finally:
             release.set()
+            signal.signal(signal.SIGINT, old)
 
     def test_every_task_runs_once_under_fast_thread_switches(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter

@@ -188,7 +188,7 @@ def test_run_rejects_bad_args():
             run(spec, "delayed", steps, AnyRng(0))
     whole = run(spec, "delayed", 100.0, AnyRng(0))
     assert whole.steps == 100 and whole.position == run(spec, "delayed", 100, AnyRng(0)).position
-    for times in ([50.7], [math.nan], ["5"], [math.inf]):
+    for times in ([50.7], [math.nan], ["5"], [math.inf], [True], [np.True_]):
         with pytest.raises(InvalidInputError):
             run(spec, "delayed", 100, AnyRng(0), checkpoint_times=times)
 
@@ -649,9 +649,12 @@ def test_sample_exit_validates():
         sample_exit(Gaussian(0, 1), 1.0, 0.5, 4, AnyRng(0))
     with pytest.raises(InvalidInputError):
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 10, AnyRng(0), cap=5)
-    for count in (0, -1, 2.5):
+    for count in (0, -1, 2.5, True, np.True_):
         with pytest.raises(InvalidInputError):
             sample_exit(Gaussian(0, 1), 0.0, 0.5, 4, AnyRng(0), count=count)
+    for n, cap in ((True, 100), (1, True), (np.True_, 100)):
+        with pytest.raises(InvalidInputError):
+            sample_exit(Gaussian(0, 1), 0.0, 0.5, n, AnyRng(0), cap=cap)
     with pytest.raises(InvalidInputError):
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 10.5, AnyRng(0))
     with pytest.raises(InvalidInputError):
@@ -724,6 +727,26 @@ def test_sample_exit_rows_are_single_stays(d, r_lo, r_hi, n):
         assert stay.stay_steps[0] == stays.stay_steps[row]
         assert stay.stay_displacements[0] == stays.stay_displacements[row]
         assert stay.stay_exits[0] == stays.stay_exits[row]
+
+
+@EXIT_CASES
+@pytest.mark.parametrize("n", [1, 3, 10, 40, 100])
+def test_sample_exit_at_cap_n_decides_on_the_refill(d, r_lo, r_hi, n):
+    # at cap == N the only block is the refill, and its window sum is the
+    # stay's only evaluation, on its last allowed draw: out of band it exits
+    # there, else the stay is censored there. At N=100 the 50 rows take two
+    # slices.
+    count = 50
+    stays = sample_exit(d, r_lo, r_hi, n, AnyRng(n), cap=n, count=count)
+    rows = from_base(d, base_variates(d, count * n, AnyRng(n)).reshape(count, n))
+    assert stays.steps == count * n and stays.stay_steps.tolist() == [n] * count
+    for row, disp, code in zip(rows.tolist(), stays.stay_displacements.tolist(), stays.stay_exits.tolist()):
+        s = 0.0
+        for x in row:
+            s += x
+        assert disp == s
+        assert code == (1 if s >= n * r_hi else -1 if s < n * r_lo else 0)
+    assert stays.censored == np.count_nonzero(stays.stay_exits == 0)
 
 
 @EXIT_CASES
@@ -902,6 +925,9 @@ def test_block_validates():
         sample_block_outcomes(Gaussian(0, 1), -0.5, 0.5, 2.5, AnyRng(0), 10)
     with pytest.raises(InvalidInputError):
         sample_block_outcomes(Gaussian(0, 1), -0.5, 0.5, 3, AnyRng(0), 2.5)
+    for n, count in ((True, 10), (3, True), (np.True_, 10), (3, np.True_)):
+        with pytest.raises(InvalidInputError):
+            sample_block_outcomes(Gaussian(0, 1), -0.5, 0.5, n, AnyRng(0), count)
 
 
 # ------------------------------------------------- exact lattice decisions

@@ -62,6 +62,9 @@ def test_model_spec_shape():
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=("0.4",), window=5, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(True,), window=5, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(None,), window=5, initial_regime=0),
+    # bools, which int() would take as window 1 and regime 0
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=True, initial_regime=0),
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5, initial_regime=np.False_),
 ])
 def test_model_spec_structural_errors(kwargs):
     with pytest.raises(InvalidInputError):
