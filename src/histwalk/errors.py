@@ -37,12 +37,9 @@ class ConfigError(HistwalkError, ValueError):
 
 
 def _whole(x) -> bool:
-    """Whether ``x`` is a real number with an integer value; NaN, infinities,
-    strings and bools are not, though ``int`` takes all but the first two."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
+    """Whether ``x`` is a real number, not a bool, with an integer value; NaN and infinities are not."""
     try:
-        return int(x) == x
+        return not isinstance(x, bool) and isinstance(x, numbers.Real) and int(x) == x
     except (TypeError, ValueError, OverflowError):
         return False
 

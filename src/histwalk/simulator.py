@@ -6,11 +6,9 @@ once the current law has produced the full window, for the delayed version)
 and then draws one increment from the active law. Decisions compare the
 window SUM against N*threshold, half-open: strictly below the lower threshold
 moves down, at-or-above the upper one moves up. The first N steps always use
-the initial regime, for both versions. Apart from the one-step reference
-and ``_straddle``'s roll, every window sum a decision reads is a difference
-of two entries of one zero-prefixed cumsum over a carried window and new
-draws, taken by ``_window_sums``; the walker's lanes and fresh stays decide
-on such sums with ``_outside``, the half-open test.
+the initial regime, for both versions. Except in the one-step reference and
+``_straddle``'s roll, window sums are differences of one zero-prefixed
+cumsum, taken by ``_window_sums``, and ``_outside`` is the half-open test.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
 the reference semantics. ``run`` implements the same dynamics with a block
@@ -54,21 +52,22 @@ schedule. Every stay starts at time 0, so the rows whose stays go on share
 round k's block of ``max(64, 2N) << k`` draws, capped at 2^13 and at the
 remaining budget, and the round draws the next (rows x block) base variates,
 row-major, in stay order. It takes them in slices of at most 2^13 elements
-(one row at least): a slice maps its draws, lays them out one column per
-stay below the carried windows, takes the window sums from the stay's first
-evaluation (time N) on, and finds each column's first sum outside the bounds
-with one argmax; the rows whose stays end in the block retire, leaving the
-rest of it unused. Consecutive slices use the stream as one would, so the
-stays do not depend on the slice size. With one row this is ``run``'s
-schedule, so a fresh stay and a run's first sojourn from the same seed make
-the same draws. They differ only at the horizon: ``run`` censors a stay
-whose exit is decided on its last draw, because that decision would govern a
-draw that never happens, while ``sample_exit`` counts an exit on its cap-th
-draw. The 2^13 cap first shortens the block that starts 6,150 to 16,320
-draws into the walk for N <= 2048, 4,098 to 8,192 draws in for
-2048 < N <= 4096, and the first block when N > 4096. It and
-``sample_block_outcomes`` decide on cumsum differences too, so a sum that
-ties a threshold only up to rounding may go either way.
+(one row at least): a slice maps its draws into one column per stay below
+the carried windows, and one argmax finds each column's first window sum
+outside the bounds from the stay's first evaluation (time N) on; the rows
+whose stays end in the block retire, leaving the rest of it unused.
+Consecutive slices use the stream as one would, so the stays do not depend
+on the slice size. With one row this is ``run``'s schedule, so a fresh stay
+and a run's first sojourn from the same seed make the same draws. They
+differ only at the horizon: ``run`` censors a stay whose exit is decided on
+its last draw, because that decision would govern a draw that never
+happens, while ``sample_exit`` counts an exit on its cap-th draw. The 2^13
+cap first shortens the block that starts 6,150 to 16,320 draws into the
+walk for N <= 2048, 4,098 to 8,192 draws in for 2048 < N <= 4096, and the
+first block when N > 4096; above N = 2^13, the first blocks end inside the
+refill and evaluate nothing. Its window sums are cumsum differences too, as
+are ``sample_block_outcomes``', so a sum that ties a threshold only up to
+rounding may go either way.
 
 ``sample_block_outcomes`` lays its batches of fresh blocks out one column
 per block, and decides by the max and min of each block's window sums: the
@@ -285,9 +284,8 @@ def _default_checkpoints(n: int, steps: int) -> np.ndarray:
 
 
 def _window_sums(x: np.ndarray, n: int, first: int = 0):
-    """The zero-prefixed cumsum ``c0`` of ``x`` down its first axis, and its
-    N-window sums from the ``first``-th on, ``c0[first + N:] - c0[first:-N]``.
-    Each column sums in order, so its sums do not depend on the layout."""
+    """The zero-prefixed cumsum ``c0`` of ``x`` down its first axis, and its N-window sums from the
+    ``first``-th on, ``c0[first + N:] - c0[first:-N]``; each column sums in order, whatever the layout."""
     c0 = np.zeros((len(x) + 1, *x.shape[1:]))
     np.cumsum(x, axis=0, out=c0[1:])
     return c0, c0[first + n:] - c0[first:-n]
@@ -472,10 +470,10 @@ class _Walk:
         its ``_window_sums`` cumsum, both as memoryviews of floats. So the draw
         at block position b is ``full[N - q + b]``, and the sum of the N draws
         before it is ``c0[N - q + b] - c0[b - q]``. ``exits`` lists, ascending,
-        the block positions from q on at which ``_outside`` finds that sum out
-        of the regime's bounds, and ``ups[b]`` is 1 where it is out upward. A last exit
-        at m + N + 1, for a block of m draws, stands for none: a stay's next
-        evaluation is at most N past the block's end.
+        the block positions from q on at which ``_outside`` finds that sum out,
+        and ``ups[b]`` is 1 where it is out upward. A last exit at m + N + 1,
+        for a block of m draws, stands for none: a stay's next evaluation is
+        at most N past the block's end.
         """
         n, m = self.n, len(z)
         full = np.concatenate((window, from_base(self.laws[regime], z[q:])))
@@ -558,16 +556,16 @@ def run(
     return walk.result()
 
 
-def _fresh_args(r_lo, r_hi, n, count, cap):
-    """A fresh sampler's N, count and cap as checked ints, and N times each threshold."""
+def _fresh_args(r_lo, r_hi, n, count):
+    """A fresh sampler's N and count as checked ints, and N times each threshold."""
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    if not (_whole(n) and _whole(count) and _whole(cap)):
-        raise InvalidInputError(f"N, count and cap must be integers, got N={n!r}, count={count!r}, cap={cap!r}")
-    n, count, cap = int(n), int(count), int(cap)
-    if not (1 <= n <= cap and count >= 1):
-        raise InvalidInputError(f"need 1 <= N <= cap and count >= 1, got N={n}, cap={cap}, count={count}")
-    return n, count, cap, n * r_lo, n * r_hi
+    if not (_whole(n) and _whole(count)):
+        raise InvalidInputError(f"N and count must be integers, got N={n!r}, count={count!r}")
+    n, count = int(n), int(count)
+    if n < 1 or count < 1:
+        raise InvalidInputError(f"need N >= 1 and count >= 1, got N={n}, count={count}")
+    return n, count, n * r_lo, n * r_hi
 
 
 def sample_exit(
@@ -587,7 +585,10 @@ def sample_exit(
     exceed ``cap`` draws is censored at ``cap``. The stays are the rows of one
     block schedule, as the module docstring describes.
     """
-    n, count, cap, lo, hi = _fresh_args(r_lo, r_hi, n, count, cap)
+    n, count, lo, hi = _fresh_args(r_lo, r_hi, n, count)
+    if not (_whole(cap) and cap >= n):
+        raise InvalidInputError(f"cap must be an integer >= N, got cap={cap!r}, N={n}")
+    cap = int(cap)
     stay_steps = np.full(count, cap, dtype=np.int64)
     stay_displacements = np.zeros(count)
     stay_exits = np.zeros(count, dtype=np.int8)
@@ -600,8 +601,7 @@ def sample_exit(
     while live.size and t < cap:
         m = min(_block_size(n, grown), cap - t)
         grown += 1
-        # the first block position evaluated: N in round 0 (its block holds the refill, as cap >= N), then 1
-        first = max(n - t, 1)
+        first = max(n - t, 1)  # the first block position evaluated; past m in a block inside the refill
         rows_per_slice = max(1, _BLOCK_CAP // (n + m + 1))
         kept = 0
         for a in range(0, live.size, rows_per_slice):
@@ -610,16 +610,19 @@ def sample_exit(
             window = windows[:, a:a + k] if t else np.zeros((n, k))
             full = np.concatenate((window, from_base(d, base_variates(d, k * m, rng).reshape(k, m)).T))
             c0, ws = _window_sums(full, n, first)  # window sums at block positions first..m
-            out, up = _outside(ws, lo, hi)
-            j = out.argmax(axis=0)
             each = np.arange(k)
-            exited = out[j, each]
-            end = np.where(exited, first + j, m)  # the block position where each stay's pass ends
-            hit = exited.nonzero()[0]
-            stay_steps[rows[hit]] = t + end[hit]
-            stay_exits[rows[hit]] = np.where(up[j[hit], hit], 1, -1)
+            end = np.full(k, m)  # the block position where each stay's pass ends
+            going = np.ones(k, dtype=bool)  # the stays that go on past the block
+            if first <= m:
+                out, up = _outside(ws, lo, hi)
+                j = out.argmax(axis=0)
+                hit = out[j, each].nonzero()[0]
+                j = j[hit]
+                end[hit] = first + j
+                going[hit] = False
+                stay_steps[rows[hit]] = t + end[hit]
+                stay_exits[rows[hit]] = np.where(up[j, hit], 1, -1)
             stay_displacements[rows] += c0[n + end, each] - c0[n]
-            going = ~exited
             rows = rows[going]
             live[kept:kept + rows.size] = rows
             windows[:, kept:kept + rows.size] = full[m:, going]
@@ -649,11 +652,10 @@ def sample_block_outcomes(
 
     Blocks are drawn in batches of max(1, 2^13 // 2N) rows, each row the next
     2N-1 draws of the stream, so the counts do not depend on the batch size.
-    A batch is laid out one column per block, so ``_window_sums`` of the
-    transposed rows gives every block's window sums as the row would, and
-    their max and min are element-wise reductions across contiguous rows.
+    A batch is laid out one column per block, so the max and min of its
+    ``_window_sums`` are element-wise reductions across contiguous rows.
     """
-    n, count, _, lo, hi = _fresh_args(r_lo, r_hi, n, count, n)  # a block has no cap: N stands in
+    n, count, lo, hi = _fresh_args(r_lo, r_hi, n, count)
     rows_per_batch = max(1, _BLOCK_CAP // (2 * n))
     up = down = both = 0
     for done in range(0, count, rows_per_batch):

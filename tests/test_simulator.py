@@ -750,6 +750,35 @@ def test_sample_exit_at_cap_n_decides_on_the_refill(d, r_lo, r_hi, n):
 
 
 @EXIT_CASES
+@pytest.mark.parametrize("n", [10, 20])
+def test_sample_exit_blocks_shorter_than_the_refill(monkeypatch, d, r_lo, r_hi, n):
+    # a block cap of 8 ends the first blocks inside the refill, as 2^13 does
+    # for N > 2^13: at N=20 rounds 0 and 1 evaluate nothing. Each row, fed its
+    # own draws, must end as a single stay under the real cap, whose first
+    # block holds the whole refill; the script is padded past the exit.
+    count, cap = 40, 120
+    monkeypatch.setattr(simulator, "_BLOCK_CAP", 8)
+    stays = sample_exit(d, r_lo, r_hi, n, AnyRng(n), cap=cap, count=count)
+    monkeypatch.undo()
+    stream = base_variates(d, stays.steps, AnyRng(n))
+    own = [[] for _ in range(count)]
+    used = 0
+    for t in range(0, cap, 8):
+        for row in np.flatnonzero(stays.stay_steps > t):
+            own[row].append(stream[used:used + 8])
+            used += 8
+    assert used == len(stream)
+    assert stays.censored == np.count_nonzero(stays.stay_exits == 0)
+    assert np.count_nonzero(stays.stay_exits == 1) > 0 and np.count_nonzero(stays.stay_exits == -1) > 0
+    for row, draws in enumerate(own):
+        draws = np.concatenate(draws + [np.full(cap - 8 * len(draws), 0.5)])
+        stay = sample_exit(d, r_lo, r_hi, n, ScriptedRNG(draws), cap=cap)
+        assert stay.stay_steps[0] == stays.stay_steps[row]
+        assert stay.stay_exits[0] == stays.stay_exits[row]
+        assert stay.stay_displacements[0] == pytest.approx(stays.stay_displacements[row], abs=1e-9)
+
+
+@EXIT_CASES
 def test_sample_exit_does_not_depend_on_the_slice_size(monkeypatch, d, r_lo, r_hi):
     # the cap of 200 keeps the blocks (64, 128, 8) under both block caps, so
     # only the slices change: one or two rows each at the small cap, every
