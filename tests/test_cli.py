@@ -305,7 +305,7 @@ class TestSimulate:
         [(MemoryError, 3, "budget error:"), (InvalidInputError, 2, "usage error:")],
     )
     def test_failing_replica_keeps_its_exit_code(self, runner, tmp_path, monkeypatch, error, code, prefix):
-        # two CPUs, so that replicas run on a second thread even on a one-CPU host
+        # two CPUs, so that replicas run in a forked child even on a one-CPU host
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         real_run = experiments.run
 

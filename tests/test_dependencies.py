@@ -45,8 +45,8 @@ def test_imports_are_declared_dependencies(tree):
 
 
 def test_cli_import_loads_no_process_or_executor_machinery():
-    # replicas run on plain threads; these modules would add start-up time
-    # to every command
+    # replicas run in children forked with os.fork; these modules would add
+    # start-up time to every command
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     probe = "import sys, histwalk.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"

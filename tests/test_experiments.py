@@ -6,10 +6,12 @@ block and persistence estimators against exhaustive enumeration of short
 Rademacher strings, and the slope fits against closed-form rate values.
 """
 
+import atexit
 import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -528,22 +530,57 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def wait_for(path, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def split_task(tmp_path, in_child):
+    """A task that runs ``in_child(k)`` in a forked child and returns ``k`` in
+    the caller, but only once some child has started a task, so that every
+    run hands at least one task to a child."""
+    caller = os.getpid()
+    started = tmp_path / "a child started"
+
+    def task(k):
+        if os.getpid() == caller:
+            wait_for(started)
+            return k
+        started.touch()
+        return in_child(k)
+
+    return task
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but unpickling calls ``__init__`` with the message alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestInOrder:
-    """``_in_order`` runs independent tasks on threads and hands results back
-    in task order, the way the speed and block drivers fold them."""
+    """``_in_order`` runs independent tasks in forked worker processes and
+    hands results back in task order, the way the speed and block drivers
+    fold them."""
 
     def test_results_come_back_in_task_order(self, monkeypatch):
         use_cpus(monkeypatch, 4)
         delays = [0.2, 0.0, 0.1, 0.0, 0.05, 0.0]
-        finished = []
 
         def nap(k):
             time.sleep(delays[k])
-            finished.append(k)
-            return k * k
+            return k * k, time.monotonic()
 
-        assert list(experiments._in_order(nap, range(len(delays)))) == [k * k for k in range(6)]
-        assert finished != sorted(finished)  # the tasks did finish out of order
+        values, finished = zip(*experiments._in_order(nap, range(len(delays))))
+        assert values == tuple(k * k for k in range(6))
+        assert list(finished) != sorted(finished)  # the tasks did finish out of order
 
     def test_first_failure_in_task_order_is_reraised(self, monkeypatch):
         use_cpus(monkeypatch, 4)
@@ -551,55 +588,75 @@ class TestInOrder:
         def task(k):
             if k == 1:
                 time.sleep(0.2)
-                raise ValueError("task 1")
+                raise InvalidInputError("task 1")
             if k == 2:
                 raise KeyError("task 2")  # fails first, but later in task order
             return k
 
         results = experiments._in_order(task, range(4))
         assert next(results) == 0
-        with pytest.raises(ValueError, match="task 1"):
+        with pytest.raises(InvalidInputError, match="^task 1$") as failure:
             next(results)
+        assert failure.type is InvalidInputError
 
-    def test_no_task_starts_after_a_failure(self, monkeypatch):
+    def test_a_childs_failure_keeps_its_type_and_message(self, monkeypatch, tmp_path):
         use_cpus(monkeypatch, 2)
-        started = []
-        second = threading.Event()
+
+        def fail(k):
+            raise ExcessCensoringError(f"task {k} in a child")
+
+        with pytest.raises(ExcessCensoringError, match=r"^task \d+ in a child$") as failure:
+            list(experiments._in_order(split_task(tmp_path, fail), range(4)))
+        assert failure.type is ExcessCensoringError
+
+    @pytest.mark.parametrize("what", ["local exception", "exception that fails to unpickle", "lambda"])
+    def test_what_a_child_cannot_pickle_comes_back_as_a_pickling_error(self, monkeypatch, tmp_path, what):
+        use_cpus(monkeypatch, 2)
+
+        class Local(Exception):
+            pass
+
+        def in_child(k):
+            if what == "local exception":
+                raise Local(f"task {k}")
+            if what == "exception that fails to unpickle":
+                raise NeedsTwoArguments(f"task {k}", "more")
+            return lambda: k
+
+        pattern = {
+            "local exception": r"task \d+ raised Local\('task \d+'\), which cannot be pickled",
+            "exception that fails to unpickle": r"task \d+ raised NeedsTwoArguments\('task \d+ and more'\), which cannot be pickled",
+            "lambda": r"task \d+ returned a function, which cannot be pickled",
+        }[what]
+        with pytest.raises(pickle.PicklingError, match=pattern):
+            list(experiments._in_order(split_task(tmp_path, in_child), range(4)))
+        assert_no_child_left()
+
+    def test_no_task_starts_after_a_failure(self, monkeypatch, tmp_path):
+        use_cpus(monkeypatch, 2)
 
         def task(k):
-            started.append(k)
-            if k == 1:
-                second.set()
-                time.sleep(0.1)
+            (tmp_path / f"started {k}").touch()
             if k == 0:
-                assert second.wait(10)
-                raise ArithmeticError("task 0")
-            return k
-
-        with pytest.raises(ArithmeticError):
-            list(experiments._in_order(task, range(20)))
-        time.sleep(0.3)  # time for the other thread to finish task 1 and look for more
-        assert sorted(started) == [0, 1]
-
-    def test_ctrl_c_does_not_wait_for_running_tasks(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        main = threading.main_thread()
-        release = threading.Event()
-        done_by_main = []
-
-        def task(k):
-            if threading.current_thread() is main:
-                time.sleep(0.02)  # lets the other thread claim a task
-                done_by_main.append(k)
+                time.sleep(0.5)  # the other worker fails task 1 meanwhile
                 return k
-            # the other thread's task: once the caller has run every other
-            # task it must be waiting for this one, so Ctrl-C it there
-            deadline = time.monotonic() + 10
-            while len(done_by_main) < 7 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            raise ArithmeticError(f"task {k}")
+
+        with pytest.raises(ArithmeticError, match="task 1"):
+            list(experiments._in_order(task, range(20)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["started 0", "started 1"]
+
+    def test_ctrl_c_does_not_wait_for_running_tasks(self, monkeypatch, tmp_path):
+        use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        survived = tmp_path / "the child survived its own Ctrl-C"
+
+        def in_child(k):
+            os.kill(os.getpid(), signal.SIGINT)  # a terminal's Ctrl-C reaches the children too
             time.sleep(0.05)
-            signal.pthread_kill(main.ident, signal.SIGINT)
-            release.wait(10)
+            survived.touch()
+            os.kill(caller, signal.SIGINT)
+            time.sleep(30)
             return k
 
         # a process started with SIGINT ignored, as a background job of a
@@ -608,41 +665,107 @@ class TestInOrder:
         start = time.monotonic()
         try:
             with pytest.raises(KeyboardInterrupt):
-                list(experiments._in_order(task, range(8)))
-            assert time.monotonic() - start < 5
-            assert len(done_by_main) == 7
+                list(experiments._in_order(split_task(tmp_path, in_child), range(8)))
+        finally:
+            signal.signal(signal.SIGINT, old)
+        assert time.monotonic() - start < 5
+        assert survived.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ending", ["success", "failure in a child", "early close"])
+    def test_every_child_is_reaped(self, monkeypatch, tmp_path, ending):
+        use_cpus(monkeypatch, 3)
+
+        def in_child(k):
+            if ending == "failure in a child":
+                raise LookupError(f"task {k}")
+            if ending == "early close" and k > 0:
+                time.sleep(30)
+            return k
+
+        results = experiments._in_order(split_task(tmp_path, in_child), range(6))
+        start = time.monotonic()
+        if ending == "success":
+            assert list(results) == list(range(6))
+        elif ending == "failure in a child":
+            with pytest.raises(LookupError):
+                list(results)
+        else:
+            assert next(results) == 0
+            results.close()
+        assert time.monotonic() - start < 5
+        assert_no_child_left()
+
+    def test_a_task_whose_child_dies_is_reported_lost(self, monkeypatch, tmp_path):
+        use_cpus(monkeypatch, 2)
+
+        def die(k):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChildProcessError, match=r"^task \d+ was lost: .*-9"):
+            list(experiments._in_order(split_task(tmp_path, die), range(4)))
+        assert_no_child_left()
+
+    def test_children_neither_flush_stdio_nor_run_atexit_hooks(self, monkeypatch, tmp_path):
+        use_cpus(monkeypatch, 2)
+        hook = tmp_path / "atexit ran"
+
+        def at_exit():
+            hook.touch()
+
+        atexit.register(at_exit)
+        try:
+            with open(tmp_path / "out.txt", "w") as out:
+                out.write("written once")  # still buffered when the children fork
+                results = experiments._in_order(split_task(tmp_path, lambda k: k), range(4))
+                assert list(results) == list(range(4))
+        finally:
+            atexit.unregister(at_exit)
+        assert (tmp_path / "out.txt").read_text() == "written once"
+        assert not hook.exists()
+
+    def test_every_task_runs_once_past_the_pipe_buffer(self, monkeypatch, tmp_path):
+        # more tasks than a pipe buffer holds indices, in more workers than
+        # cores: a lost or repeated claim would skip a task or log it twice
+        use_cpus(monkeypatch, 4)
+        count = 40_000
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def task(k):
+            os.write(log, k.to_bytes(4, sys.byteorder))
+            return k
+
+        start = time.monotonic()
+        try:
+            assert list(experiments._in_order(task, range(count))) == list(range(count))
+        finally:
+            os.close(log)
+        assert time.monotonic() - start < 30
+        logged = np.frombuffer((tmp_path / "log").read_bytes(), dtype=np.uint32)
+        assert np.array_equal(np.sort(logged), np.arange(count))
+
+    @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "another-thread"])
+    def test_runs_every_task_inline(self, monkeypatch, why):
+        use_cpus(monkeypatch, 1 if why == "one-cpu" else 4)
+        if why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+
+            def refuse():
+                raise AssertionError("a process was forked")
+
+            monkeypatch.setattr(os, "fork", refuse)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        if why == "another-thread":
+            other.start()
+        try:
+            assert list(experiments._in_order(lambda k: -k, range(5))) == [0, -1, -2, -3, -4]
         finally:
             release.set()
-            signal.signal(signal.SIGINT, old)
-
-    def test_every_task_runs_once_under_fast_thread_switches(self, monkeypatch):
-        # more threads than cores, switching as often as the interpreter
-        # allows: a lost claim would skip a task or run one twice
-        use_cpus(monkeypatch, 16)
-        runs = [0] * 3000
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            start = time.monotonic()
-
-            def task(k):
-                runs[k] += 1  # each slot has one writer unless a claim is lost
-                return k
-
-            assert list(experiments._in_order(task, range(len(runs)))) == list(range(len(runs)))
-            assert time.monotonic() - start < 30
-        finally:
-            sys.setswitchinterval(old)
-        assert runs == [1] * len(runs)
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        use_cpus(monkeypatch, 1)
-
-        def refuse(self):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert list(experiments._in_order(lambda k: -k, range(5))) == [0, -1, -2, -3, -4]
+            if other.is_alive():
+                other.join(10)
+        assert not other.is_alive()
 
     def test_cpu_count_stands_in_for_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
