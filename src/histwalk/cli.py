@@ -6,14 +6,24 @@ reports. Reports go to ``--output`` files atomically (temp file + rename)
 with one stdout summary line per grid point; without ``--output`` the report
 itself is the stdout payload. Exit codes: 0 success, 1 domain failure,
 2 usage or config error, 3 exhausted budget or excess censoring.
+
+The Monte Carlo layer (``experiments`` and ``simulator``) is imported on the
+first call into it, so ``validate``, ``predict`` and ``ratefn`` never load it.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 from dataclasses import asdict, fields
+
+# a command's only BLAS calls are dot products of short vectors (atoms,
+# regimes, grid points) and its parallel work runs in forked processes, so
+# OpenBLAS's own threads would only start and idle; numpy reads this when
+# first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -29,18 +39,29 @@ from .errors import (
     NonConvergenceError,
     _real,
 )
-from .experiments import (
-    estimate_persistence_constant,
-    estimate_speed,
-    fit_block_exponents,
-    fit_exit_statistics,
-    sweep_window,
-)
 from .ratefn import RateFunction
-from .simulator import VERSIONS
-from .simulator import run as run_walk
-from .theory import ModelSpec, predict_limiting_speed, threshold_bounds
+from .theory import VERSIONS, ModelSpec, predict_limiting_speed, threshold_bounds
 from .theory import validate as validate_model
+
+
+def _on_first_call(module: str, name: str):
+    """A function named ``name`` that calls ``histwalk.<module>.<name>``,
+    importing that module on its first call. The commands call it through
+    this module's globals, where a caller can also replace it."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+estimate_speed = _on_first_call("experiments", "estimate_speed")
+sweep_window = _on_first_call("experiments", "sweep_window")
+fit_block_exponents = _on_first_call("experiments", "fit_block_exponents")
+fit_exit_statistics = _on_first_call("experiments", "fit_exit_statistics")
+estimate_persistence_constant = _on_first_call("experiments", "estimate_persistence_constant")
+run_walk = _on_first_call("simulator", "run")
 
 _MODEL_KEYS = {"dists", "thresholds", "window", "initial_regime"}
 _DIST_LAWS = {"gaussian": Gaussian, "rademacher": Rademacher, "finite_discrete": FiniteDiscrete}

@@ -92,7 +92,7 @@ import numpy as np
 
 from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample_n
 from .errors import InvalidInputError, _whole
-from .theory import ModelSpec, threshold_bounds
+from .theory import VERSIONS, ModelSpec, threshold_bounds
 
 __all__ = [
     "VERSIONS",
@@ -121,9 +121,6 @@ _RESUM_INTERVAL = 1 << 20
 # slice's or a batch's c0 holds at most 2^13 doubles, or one row's N + m + 1
 # or 2N when that row alone exceeds the cap.
 _BLOCK_CAP = 1 << 13
-
-# the two switching rules, delayed first, by the names that configs and the CLI use
-VERSIONS = ("delayed", "instantaneous")
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .errors import AssumptionError, InvalidChainError, InvalidInputError, _real
 from .ratefn import RateFunction
 
 __all__ = [
+    "VERSIONS",
     "ModelSpec",
     "ValidationReport",
     "RegimeExponents",
@@ -38,6 +39,9 @@ __all__ = [
     "speed_formula",
     "predict_limiting_speed",
 ]
+
+# the two switching rules, delayed first, by the names that configs and the CLI use
+VERSIONS = ("delayed", "instantaneous")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,17 @@ one to have installed) cannot creep in unnoticed.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import histwalk.cli
+from histwalk import experiments, simulator, theory
+from test_report_bytes import LATTICE_LADDER
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNTIME = {"numpy", "click", "histwalk"}
@@ -44,11 +49,57 @@ def test_imports_are_declared_dependencies(tree):
     assert {path: names for path, names in stray.items() if names} == {}
 
 
+def fresh_python(probe: str, env: dict | None = None) -> list[str]:
+    """The stdout lines of ``probe`` run by a new interpreter on ``src``."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
 def test_cli_import_loads_no_process_or_executor_machinery():
     # replicas run in children forked with os.fork; these modules would add
     # start-up time to every command
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     probe = "import sys, histwalk.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert fresh_python(probe) == ["[]"]
+
+
+def test_theory_commands_load_no_monte_carlo_code(tmp_path):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(LATTICE_LADDER))
+    runs = []
+    for config in (str(ROOT / "configs" / "l1_gaussian.json"), str(lattice)):
+        runs += [["validate", config], ["predict", config], ["ratefn", config, "--dist", "1", "--r-grid", "-1:3:0.5"]]
+    simulate = ["simulate", str(lattice), "--steps", "2000", "--replicas", "2", "--output", str(tmp_path / "sim.json")]
+    probe = f"""
+import sys, histwalk.cli
+for argv in {runs!r}:
+    histwalk.cli.main(argv, standalone_mode=False)
+loaded = sorted(m for m in ("histwalk.simulator", "histwalk.experiments", "mmap", "select") if m in sys.modules)
+histwalk.cli.main({simulate!r}, standalone_mode=False)
+print(loaded, "histwalk.experiments" in sys.modules)
+"""
+    assert fresh_python(probe)[-1] == "[] True"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    probe = "import os, histwalk.cli; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert fresh_python(probe, env) == ["1 1"]
+    assert fresh_python(probe, {**env, "OPENBLAS_NUM_THREADS": "2"})[0].split()[1] == "2"
+
+
+def test_rule_names_are_defined_once_and_deferred_names_keep_their_targets_names():
+    assert histwalk.cli.VERSIONS is theory.VERSIONS is simulator.VERSIONS
+    assert "VERSIONS" in simulator.__all__
+    targets = {
+        "estimate_speed": experiments.estimate_speed,
+        "sweep_window": experiments.sweep_window,
+        "fit_block_exponents": experiments.fit_block_exponents,
+        "fit_exit_statistics": experiments.fit_exit_statistics,
+        "estimate_persistence_constant": experiments.estimate_persistence_constant,
+        "run_walk": simulator.run,
+    }
+    for name, target in targets.items():
+        assert getattr(histwalk.cli, name).__name__ == target.__name__, name
