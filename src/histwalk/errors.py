@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``_whole`` and ``_real``,
-the integer and number tests behind its input checks."""
+"""Exception types shared across the package; ``_whole`` and ``_real``, the
+integer and number tests behind its input checks; and ``_check_count``, the
+ceiling on step counts."""
 
 import numbers
 
@@ -42,6 +43,14 @@ def _whole(x) -> bool:
         return not isinstance(x, bool) and isinstance(x, numbers.Real) and int(x) == x
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _check_count(name: str, value: int) -> None:
+    """Refuse a step count above 2**53, past which a float no longer holds
+    every integer: batch and checkpoint times are computed in floats, and
+    numpy's int64 overflows at 2**63."""
+    if value > 2**53:
+        raise InvalidInputError(f"{name}={value} is above 2**53, the largest step count handled")
 
 
 def _real(x) -> bool:

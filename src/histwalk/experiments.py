@@ -4,8 +4,11 @@ Everything here consumes a master seed, fans replicas or grid points out over
 independent child streams, and folds results back together in a fixed order,
 so identical inputs give identical reports. Speed replicas and block-crossing
 grid points run in worker processes, the caller and children it forks, one
-per available CPU; each task keeps its own generator, and the results are
-folded in task order, so reports do not depend on how many CPUs there are.
+per available CPU. Each worker claims the next task by reading its index
+from one unlinked temporary file at the offset they all share, and a task
+that fails moves that offset to the end, so no task starts after it. Each
+task keeps its own generator, and the results are folded in task order, so
+reports do not depend on how many CPUs there are.
 Block-crossing grid points are handed out largest window first, as a block
 costs 2N-1 draws, and their tallies are folded back in grid order.
 Speed runs aggregate per-replica terminal averages with batch-means error
@@ -18,18 +21,18 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import mmap
 import os
 import pickle
 import select
 import signal
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, sample_n
-from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _whole
+from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _check_count, _whole
 from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
@@ -59,7 +62,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_INDEX_BYTES = 4  # a task index in the queue of unclaimed tasks
+_INDEX_BYTES = 4  # a task index, in the shared index file and in a record
 _SIZE_BYTES = 8  # the length of a pickled record, after its task index
 
 
@@ -74,22 +77,16 @@ def _sigint_held():
         signal.pthread_sigmask(signal.SIG_SETMASK, old)
 
 
-def _claim(queue: int, stop: mmap.mmap, wait: bool) -> int | None:
-    """Take the next task index off ``queue``, a nonblocking pipe.
+def _claim(queue: int) -> int | None:
+    """Read the next task index from ``queue``, the index file whose offset
+    every worker shares, or None at its end: every task is claimed, or a
+    failed task moved the offset there.
 
-    None once a task has failed (``stop`` is set) or the queue is closed and
-    empty; while it is merely empty, None unless ``wait``.
+    Linux serialises reads on a shared regular-file offset (since 3.14), so
+    each index reaches exactly one worker.
     """
-    while not stop[0]:
-        try:
-            index = os.read(queue, _INDEX_BYTES)
-        except BlockingIOError:
-            if not wait:
-                return None
-            select.select([queue], [], [])
-        else:
-            return int.from_bytes(index, sys.byteorder) if index else None
-    return None
+    index = os.read(queue, _INDEX_BYTES)
+    return int.from_bytes(index, sys.byteorder) if index else None
 
 
 def _write_all(fd: int, data) -> None:
@@ -125,22 +122,20 @@ def _send(out: int, index: int, value, error: BaseException | None) -> None:
     _write_all(out, data)
 
 
-def _serve(fn, tasks, queue: int, stop: mmap.mmap, out: int, inherited) -> None:
+def _serve(fn, tasks, queue: int, out: int) -> None:
     """A forked child's whole life: run the tasks it claims and send each
-    one's record to ``out``. It closes the descriptors in ``inherited``,
-    ignores SIGINT, and leaves by ``os._exit``, so it neither flushes the
-    parent's stdio nor runs its atexit hooks; it never returns."""
+    one's record to ``out``. It ignores SIGINT, and leaves by ``os._exit``,
+    so it neither flushes the parent's stdio nor runs its atexit hooks; it
+    never returns."""
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        while (i := _claim(queue, stop, wait=True)) is not None:
+        while (i := _claim(queue)) is not None:
             try:
                 value, error = fn(tasks[i]), None
-            except BaseException as err:  # sent back, and the child stops
-                stop[0] = 1
+            except BaseException as err:  # sent back, and no worker claims another task
+                os.lseek(queue, 0, os.SEEK_END)
                 value, error = None, err
             _send(out, i, value, error)
         status = 0
@@ -152,49 +147,39 @@ def _in_order(fn, tasks):
     """Yield ``fn(task)`` for each of ``tasks``, in task order.
 
     The tasks run in ``min(len(tasks), available CPUs)`` processes, the
-    caller and the children it forks on entry, each taking the next task
-    index from a shared queue, so tasks start in task order. A child pickles
-    each task's value, or the exception it raised, back to the caller; one
-    that cannot be pickled comes back as a ``pickle.PicklingError`` naming
-    it. The caller yields the values in task order and runs a task itself
-    only while the next value is not in, after reading every record already
-    sent, so no child waits on it while it computes. A failure stops new
-    tasks from starting, and the first failure in task order is re-raised as
-    it was raised. When the caller finishes, raises, is interrupted or is
-    closed early, it kills and reaps every child first: children ignore
-    SIGINT, so a Ctrl-C does not wait for their tasks.
+    caller and the children it forks on entry. Every task index is written
+    once to an unlinked temporary file before the fork, and each worker
+    claims the next task by reading an index at the file's shared offset, so
+    tasks start in task order. A child pickles each task's value, or the
+    exception it raised, back to the caller; one that cannot be pickled comes
+    back as a ``pickle.PicklingError`` naming it. The caller yields the
+    values in task order and runs a task itself only while the next value is
+    not in, after reading every record already sent, so no child waits on it
+    while it computes. A worker whose task fails moves the file's offset to
+    its end, so no task starts after it, and the first failure in task order
+    is re-raised as it was raised. When the caller finishes, raises, is
+    interrupted or is closed early, it kills and reaps every child first:
+    children ignore SIGINT, so a Ctrl-C does not wait for their tasks.
 
     The caller runs every task itself, forking nothing, on one CPU, where
-    ``os.fork`` is missing, or while other threads are alive: a lock one of
-    them holds would stay held in every child.
+    ``os.fork`` is missing, while other threads are alive (a lock one of
+    them holds would stay held in every child), or when the index file
+    cannot be created.
     """
     tasks = list(tasks)
     workers = min(len(tasks), _available_cpus())
-    if workers < 2 or not hasattr(os, "fork") or len(sys._current_frames()) > 1:
+    index_file = None
+    if workers > 1 and hasattr(os, "fork") and len(sys._current_frames()) == 1:
+        with contextlib.suppress(OSError):  # no writable temporary directory
+            index_file = tempfile.TemporaryFile(buffering=0)
+    if index_file is None:
         yield from map(fn, tasks)
         return
 
-    stop = mmap.mmap(-1, 1)  # shared with the children; a failed task sets it
-    queue, queue_in = os.pipe()  # unclaimed task indices; any worker takes the next
-    os.set_blocking(queue, False)
-    os.set_blocking(queue_in, False)
-    unqueued = memoryview(np.arange(len(tasks), dtype=np.uint32).tobytes())
+    queue = index_file.fileno()  # unclaimed task indices, at the offset all workers share
     results = {}  # (value, error) of each task done and not yet yielded
     children = {}  # pid of each child not yet reaped, by the read end of its pipe
     ended = []  # exit statuses of children that ended before being killed
-
-    def enqueue() -> None:
-        # one atomic write of at most PIPE_BUF bytes at a time, so the queue
-        # always holds whole indices; what does not fit waits for claims
-        nonlocal unqueued, queue_in
-        while queue_in is not None and unqueued and not stop[0]:
-            try:
-                unqueued = unqueued[os.write(queue_in, unqueued[:select.PIPE_BUF]):]
-            except BlockingIOError:
-                return
-        if queue_in is not None:
-            os.close(queue_in)  # claims past the end now read end of file
-            queue_in = None
 
     def collect(timeout: float | None) -> None:
         # one record from each child that has sent one, or its end
@@ -206,10 +191,10 @@ def _in_order(fn, tasks):
                 ended.append(os.waitstatus_to_exitcode(os.waitpid(children.pop(r), 0)[1]))
             else:
                 results[int.from_bytes(header[:_INDEX_BYTES], sys.byteorder)] = pickle.loads(data)
-        enqueue()
 
     try:
-        enqueue()
+        _write_all(queue, np.arange(len(tasks), dtype=np.uint32).tobytes())
+        os.lseek(queue, 0, os.SEEK_SET)
         with _sigint_held():
             for _ in range(workers - 1):
                 r, w = os.pipe()
@@ -220,18 +205,19 @@ def _in_order(fn, tasks):
                     os.close(w)
                     break
                 if pid == 0:
-                    _serve(fn, tasks, queue, stop, w, (r, queue_in) if queue_in is not None else (r,))
+                    os.close(r)
+                    _serve(fn, tasks, queue, w)
                 os.close(w)
                 children[r] = pid
         for k in range(len(tasks)):
             collect(0)
             while k not in results:
-                i = _claim(queue, stop, wait=False)
+                i = _claim(queue)
                 if i is not None:
                     try:
                         results[i] = (fn(tasks[i]), None)
                     except Exception as err:
-                        stop[0] = 1
+                        os.lseek(queue, 0, os.SEEK_END)
                         results[i] = (None, err)
                 elif not children:
                     raise ChildProcessError(
@@ -249,10 +235,7 @@ def _in_order(fn, tasks):
             for r, pid in children.items():
                 os.waitpid(pid, 0)
                 os.close(r)
-        os.close(queue)
-        if queue_in is not None:
-            os.close(queue_in)
-        stop.close()
+        index_file.close()
 
 
 def _check_seed(master_seed: int) -> int:
@@ -301,9 +284,10 @@ def _batch_boundaries(steps: int) -> np.ndarray:
 
 
 def _check_steps(steps: int, n: int) -> None:
-    """A run must span at least 50 windows."""
+    """A run must span at least 50 windows and at most 2**53 steps."""
     if steps < 50 * n:
         raise InvalidInputError(f"steps={steps} is too short for window {n}; need at least {50 * n}")
+    _check_count("steps", steps)
 
 
 def estimate_speed(
@@ -650,6 +634,7 @@ def fit_exit_statistics(
     cap = int(cap)
     if cap < grid[-1]:
         raise InvalidInputError(f"cap={cap} is below the largest window {grid[-1]}")
+    _check_count("cap", cap)
     p_down = np.empty(len(grid))
     se_down = np.empty(len(grid))
     mean_stay = np.empty(len(grid))

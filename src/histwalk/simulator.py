@@ -91,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample_n
-from .errors import InvalidInputError, _whole
+from .errors import InvalidInputError, _check_count, _whole
 from .theory import VERSIONS, ModelSpec, threshold_bounds
 
 __all__ = [
@@ -538,6 +538,7 @@ def run(
     steps = int(steps)
     if steps < spec.window:
         raise InvalidInputError(f"steps={steps} must be at least the window length {spec.window}")
+    _check_count("steps", steps)
     if checkpoint_times is None:
         ckpts = _default_checkpoints(spec.window, steps).tolist()
     else:
@@ -586,6 +587,7 @@ def sample_exit(
     if not (_whole(cap) and cap >= n):
         raise InvalidInputError(f"cap must be an integer >= N, got cap={cap!r}, N={n}")
     cap = int(cap)
+    _check_count("cap", cap)
     stay_steps = np.full(count, cap, dtype=np.int64)
     stay_displacements = np.zeros(count)
     stay_exits = np.zeros(count, dtype=np.int8)

@@ -593,8 +593,14 @@ class TestUsageErrors:
             ["blocks", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6", "--n-grid", "4,6,8", "--samples", "0"],
             ["persistence", "--dist", "1", "--r", "0.4", "--horizon", "0"],
             ["exits", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6", "--n-grid", "4,6,8", "--cap", "5"],
+            ["simulate", "--steps", str(10**20)],
+            ["sweep", "--n-grid", "4,6", "--steps", str(10**20)],
+            ["exits", "--dist", "1", "--r-lo", "0.4", "--r-hi", "1.6", "--n-grid", "4,6,8", "--cap", str(10**20)],
         ],
-        ids=["negative-seed", "zero-replicas", "zero-samples", "zero-horizon", "cap-below-window"],
+        ids=[
+            "negative-seed", "zero-replicas", "zero-samples", "zero-horizon", "cap-below-window",
+            "steps-past-2^53", "sweep-steps-past-2^53", "cap-past-2^53",
+        ],
     )
     def test_bad_argument_value_exits_two(self, runner, tmp_path, args):
         command, *flags = args

@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -143,6 +144,8 @@ class TestEstimateSpeed:
             {"replicas": math.inf},
             {"master_seed": math.nan},
             {"steps": "5000"},
+            # past 2**53 a float no longer holds every batch boundary
+            {"steps": 10**20},
             # bools, which int() would take as seed 0
             {"master_seed": False},
             {"master_seed": np.True_},
@@ -258,7 +261,9 @@ class TestSweepWindow:
         with pytest.raises(InvalidInputError):
             sweep_window(l1_gaussian(), "delayed", (), 2, 0, steps=10_000)
 
-    @pytest.mark.parametrize("grid, steps", [((4, 5.5), 10_000), ((4, math.nan), 10_000), ((4, 6), 10_000.5)])
+    @pytest.mark.parametrize(
+        "grid, steps", [((4, 5.5), 10_000), ((4, math.nan), 10_000), ((4, 6), 10_000.5), ((4, 6), 10**20)]
+    )
     def test_grid_and_steps_must_be_whole(self, grid, steps):
         with pytest.raises(InvalidInputError):
             sweep_window(l1_gaussian(), "delayed", grid, 2, 0, steps=steps)
@@ -419,6 +424,7 @@ class TestExitStatistics:
             {"cap": 10_000.5},
             {"cap": math.nan},
             {"cap": math.inf},
+            {"cap": 10**20},
             {"n_grid": (2, 3, 4.5)},
             {"n_grid": (2, 3, math.nan)},
             {"master_seed": 1.5},
@@ -553,6 +559,14 @@ def split_task(tmp_path, in_child):
     return task
 
 
+def use_empty_tempdir(monkeypatch, tmp_path):
+    """Point ``tempfile`` at a new empty directory, and return it."""
+    temp = tmp_path / "tempdir"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -632,22 +646,34 @@ class TestInOrder:
             list(experiments._in_order(split_task(tmp_path, in_child), range(4)))
         assert_no_child_left()
 
-    def test_no_task_starts_after_a_failure(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("failing", ["task 1", "the caller"])
+    def test_no_task_starts_after_a_failure(self, monkeypatch, tmp_path, failing):
         use_cpus(monkeypatch, 2)
+        caller = os.getpid()
 
         def task(k):
             (tmp_path / f"started {k}").touch()
+            sleeps = k == 0 if failing == "task 1" else os.getpid() != caller
+            if sleeps:
+                time.sleep(0.5)  # the other worker fails a task meanwhile
+                return k
             if k == 0:
-                time.sleep(0.5)  # the other worker fails task 1 meanwhile
+                # the caller holds task 0 until the child starts task 1, then fails task 2
+                wait_for(tmp_path / "started 1")
                 return k
             raise ArithmeticError(f"task {k}")
 
-        with pytest.raises(ArithmeticError, match="task 1"):
+        with pytest.raises(ArithmeticError, match=r"^task [12]$") as failure:
             list(experiments._in_order(task, range(20)))
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["started 0", "started 1"]
+        failed = int(str(failure.value).split()[1])
+        if failing == "task 1":
+            assert failed == 1
+        # tasks start in order, and none after the failed one
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"started {k}" for k in range(failed + 1)]
 
     def test_ctrl_c_does_not_wait_for_running_tasks(self, monkeypatch, tmp_path):
         use_cpus(monkeypatch, 2)
+        temp = use_empty_tempdir(monkeypatch, tmp_path)
         caller = os.getpid()
         survived = tmp_path / "the child survived its own Ctrl-C"
 
@@ -671,10 +697,12 @@ class TestInOrder:
         assert time.monotonic() - start < 5
         assert survived.exists()
         assert_no_child_left()
+        assert list(temp.iterdir()) == []
 
     @pytest.mark.parametrize("ending", ["success", "failure in a child", "early close"])
     def test_every_child_is_reaped(self, monkeypatch, tmp_path, ending):
         use_cpus(monkeypatch, 3)
+        temp = use_empty_tempdir(monkeypatch, tmp_path)
 
         def in_child(k):
             if ending == "failure in a child":
@@ -695,6 +723,7 @@ class TestInOrder:
             results.close()
         assert time.monotonic() - start < 5
         assert_no_child_left()
+        assert list(temp.iterdir()) == []
 
     def test_a_task_whose_child_dies_is_reported_lost(self, monkeypatch, tmp_path):
         use_cpus(monkeypatch, 2)
@@ -725,8 +754,9 @@ class TestInOrder:
         assert not hook.exists()
 
     def test_every_task_runs_once_past_the_pipe_buffer(self, monkeypatch, tmp_path):
-        # more tasks than a pipe buffer holds indices, in more workers than
-        # cores: a lost or repeated claim would skip a task or log it twice
+        # more task indices than a pipe buffer holds, claimed at one shared
+        # file offset by more workers than cores: a lost or repeated claim
+        # would skip a task or log it twice
         use_cpus(monkeypatch, 4)
         count = 40_000
         log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -744,9 +774,15 @@ class TestInOrder:
         logged = np.frombuffer((tmp_path / "log").read_bytes(), dtype=np.uint32)
         assert np.array_equal(np.sort(logged), np.arange(count))
 
-    @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "another-thread"])
+    @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "another-thread", "no-temp-file"])
     def test_runs_every_task_inline(self, monkeypatch, why):
         use_cpus(monkeypatch, 1 if why == "one-cpu" else 4)
+        if why == "no-temp-file":
+
+            def no_room(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
         if why == "no-fork":
             monkeypatch.delattr(os, "fork")
         else:

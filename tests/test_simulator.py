@@ -182,8 +182,9 @@ def test_run_rejects_bad_args():
         run(spec, "sometimes", 100, AnyRng(0))
     with pytest.raises(InvalidInputError):
         run(spec, "delayed", 3, AnyRng(0))
-    # counts that are not whole numbers are refused, not truncated
-    for steps in (100.7, "100", math.nan, math.inf):
+    # counts that are not whole numbers are refused, not truncated, and so are
+    # counts past 2**53, where a float no longer holds every checkpoint time
+    for steps in (100.7, "100", math.nan, math.inf, 10**20, 2**63):
         with pytest.raises(InvalidInputError):
             run(spec, "delayed", steps, AnyRng(0))
     whole = run(spec, "delayed", 100.0, AnyRng(0))
@@ -657,6 +658,11 @@ def test_sample_exit_validates():
             sample_exit(Gaussian(0, 1), 0.0, 0.5, n, AnyRng(0), cap=cap)
     with pytest.raises(InvalidInputError):
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 10.5, AnyRng(0))
+    # caps up to 2**53 are taken, larger ones refused
+    for cap in (2**53 + 1, 10**20):
+        with pytest.raises(InvalidInputError):
+            sample_exit(Gaussian(0, 1), 0.0, 0.5, 4, AnyRng(0), cap=cap)
+    assert sample_exit(Gaussian(0, 1), 0.0, 0.5, 4, AnyRng(0), cap=2**53).censored == 0
     with pytest.raises(InvalidInputError):
         sample_exit(Gaussian(0, 1), 0.0, 0.5, 4, AnyRng(0), cap=100.5)
     whole = sample_exit(Gaussian(0, 1), 0.0, 0.5, 4.0, AnyRng(0), cap=100.0, count=3.0)
