@@ -2,15 +2,19 @@
 
 Everything here consumes a master seed, fans replicas or grid points out over
 independent child streams, and folds results back together in a fixed order,
-so identical inputs give identical reports. Speed replicas and block-crossing
-grid points run in worker processes, the caller and children it forks, one
-per available CPU. Each worker claims the next task by reading its index
-from one unlinked temporary file at the offset they all share, and a task
-that fails moves that offset to the end, so no task starts after it. Each
-task keeps its own generator, and the results are folded in task order, so
-reports do not depend on how many CPUs there are.
+so identical inputs give identical reports. Speed replicas, block-crossing
+grid points and chunks of fresh stays run in worker processes, the caller and
+children it forks, one per available CPU. Each worker claims the next task by
+reading its index from one unlinked temporary file at the offset they all
+share, and a task that fails moves that offset to the end, so no task starts
+after it. Each task keeps its own generator, and the results are folded in
+task order, so reports do not depend on how many CPUs there are.
 Block-crossing grid points are handed out largest window first, as a block
-costs 2N-1 draws, and their tallies are folded back in grid order.
+costs 2N-1 draws, and their tallies are folded back in grid order. The exit
+fit cuts each grid point's stays into chunks of ``_EXIT_CHUNK``, each with its
+own child of the grid point's stream, since whole grid points cannot balance
+the CPUs when the largest window dominates. Its chunks are also handed out
+largest window first, and each grid point is folded once its chunks are in.
 Speed runs aggregate per-replica terminal averages with batch-means error
 bars; the grid experiments wrap raw counts into slope fits against the
 matching rate-function values.
@@ -53,6 +57,12 @@ __all__ = [
 ]
 
 _BATCHES_PER_REPLICA = 32
+
+# fresh stays per task of fit_exit_statistics: the largest window costs most
+# of a grid, so its stays must split across the CPUs. A task holds N carried
+# draws per stay. On the exit-stays workload 1000 ran no slower than 500 or
+# 2000 (20 alternating CLI runs each, 2-CPU host).
+_EXIT_CHUNK = 1000
 
 
 def _available_cpus() -> int:
@@ -279,8 +289,8 @@ class SimReport:
 
 
 def _batch_boundaries(steps: int) -> np.ndarray:
-    ends = np.round(np.linspace(steps / _BATCHES_PER_REPLICA, steps, _BATCHES_PER_REPLICA))
-    return np.unique(ends.astype(np.int64))
+    ends = np.round(np.linspace(steps / _BATCHES_PER_REPLICA, steps, _BATCHES_PER_REPLICA)).astype(np.int64)
+    return ends[np.diff(ends, prepend=-1) != 0]  # sorted already; np.unique would import numpy.ma
 
 
 def _check_steps(steps: int, n: int) -> None:
@@ -639,26 +649,46 @@ def fit_exit_statistics(
     se_down = np.empty(len(grid))
     mean_stay = np.empty(len(grid))
     se_stay = np.empty(len(grid))
-    censored_fracs = []
-    # serial: each grid point is one sample_exit call over all its stays, and
-    # the largest window takes most of the time, so forked workers across the
-    # grid points saved nothing: the exit-stays workload ran 1.8% slower over
-    # 15 alternating CLI runs
-    for k, (n, child) in enumerate(zip(grid, np.random.SeedSequence(master_seed).spawn(len(grid)))):
-        sample = sample_exit(d, r_lo, r_hi, n, np.random.default_rng(child), cap=cap, count=samples_per_n)
-        frac = sample.censored / samples_per_n
-        censored_fracs.append(frac)
+    censored_fracs = [0.0] * len(grid)
+    chunks = -(-samples_per_n // _EXIT_CHUNK)
+    points = np.random.SeedSequence(master_seed).spawn(len(grid))
+    # largest windows first, as mean stays grow exponentially in N
+    tasks = [
+        (k, child, min(_EXIT_CHUNK, samples_per_n - c * _EXIT_CHUNK))
+        for k in reversed(range(len(grid)))
+        for c, child in enumerate(points[k].spawn(chunks))
+    ]
+
+    def chunk(task):
+        k, child, count = task
+        n = grid[k]
+        sample = sample_exit(d, r_lo, r_hi, n, np.random.default_rng(child), cap=cap, count=count)
+        ended = sample.stay_exits != 0
+        return (sample.stay_steps[ended] - n).astype(float), np.count_nonzero(sample.stay_exits == -1), sample.censored
+
+    # each grid point is folded once its last chunk is in, so only its
+    # chunks' columns are held at a time
+    parts = []
+    for (k, _, _), part in zip(tasks, _in_order(chunk, tasks)):
+        parts.append(part)
+        if len(parts) < chunks:
+            continue
+        stays = np.concatenate([p[0] for p in parts])
+        downs = sum(p[1] for p in parts)
+        censored_fracs[k] = sum(p[2] for p in parts) / samples_per_n
+        parts = []
+        if censored_fracs[k] > 0.05:
+            continue  # raised below, for the smallest such window
+        m = len(stays)
+        p_down[k] = downs / m
+        se_down[k] = binomial_se(p_down[k], m)
+        mean_stay[k] = stays.mean()
+        se_stay[k] = float(np.std(stays, ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
+    for n, frac in zip(grid, censored_fracs):
         if frac > 0.05:
             raise ExcessCensoringError(
                 f"{frac:.1%} of stays at N={n} hit the {cap}-step cap; raise the cap"
             )
-        ended = sample.stay_exits != 0
-        stays = (sample.stay_steps[ended] - n).astype(float)
-        m = len(stays)
-        p_down[k] = np.count_nonzero(sample.stay_exits == -1) / m
-        se_down[k] = binomial_se(p_down[k], m)
-        mean_stay[k] = stays.mean()
-        se_stay[k] = float(np.std(stays, ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
 
     target_down = max(0.0, i_lo - i_hi)
     return ExitReport(

@@ -276,7 +276,8 @@ def step_instantaneous(state: WalkState, spec: ModelSpec, rng) -> WalkState:
 
 
 def _default_checkpoints(n: int, steps: int) -> np.ndarray:
-    pts = np.unique(np.geomspace(n, steps, num=64).round().astype(np.int64))
+    pts = np.geomspace(n, steps, num=64).round().astype(np.int64)
+    pts = pts[np.diff(pts, prepend=-1) != 0]  # sorted already; np.unique would import numpy.ma
     return pts[(pts >= n) & (pts <= steps)]
 
 

@@ -82,6 +82,20 @@ print(loaded, "histwalk.experiments" in sys.modules)
     assert fresh_python(probe)[-1] == "[] True"
 
 
+def test_simulate_loads_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on first use, which costs simulate and sweep
+    # start-up time and memory
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(LATTICE_LADDER))
+    simulate = ["simulate", str(lattice), "--steps", "2000", "--replicas", "2", "--output", str(tmp_path / "sim.json")]
+    probe = f"""
+import sys, histwalk.cli
+histwalk.cli.main({simulate!r}, standalone_mode=False)
+print("numpy.ma" in sys.modules)
+"""
+    assert fresh_python(probe)[-1] == "False"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
 def test_cli_runs_blas_on_one_thread_unless_told_otherwise():
     probe = "import os, histwalk.cli; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"

@@ -42,6 +42,7 @@ from histwalk.experiments import (
     fit_exit_statistics,
     sweep_window,
 )
+from histwalk.simulator import sample_exit
 from histwalk.theory import ModelSpec, speed_formula
 
 
@@ -407,9 +408,36 @@ class TestExitStatistics:
         assert abs(rep.exit_down.slope) <= 0.05
         assert all(v >= 0.7 for v in rep.exit_down.values)
 
-    def test_tight_cap_raises_excess_censoring(self):
-        with pytest.raises(ExcessCensoringError):
-            fit_exit_statistics(Gaussian(0.0, 1.0), -5.0, 5.0, (2, 3, 4), 40, 60, 0)
+    def test_tight_cap_raises_excess_censoring(self, monkeypatch):
+        # the error names the smallest censored window, though the largest run first
+        use_cpus(monkeypatch, 2)
+        cases = [
+            # every window is censored
+            ((Gaussian(0.0, 1.0), -5.0, 5.0, (2, 3, 4), 40, 60, 0), 2),
+            # N=10 and N=20 are, N=2 is not
+            ((Gaussian(1.0, 1.0), 0.4, 1.6, (2, 10, 20), 400, 40, 0), 10),
+        ]
+        for args, window in cases:
+            cap = args[5]
+            with pytest.raises(ExcessCensoringError, match=rf"% of stays at N={window} hit the {cap}-step cap; raise the cap$"):
+                fit_exit_statistics(*args)
+
+    def test_samples_split_into_chunks_count_exactly(self, monkeypatch):
+        # 2500 stays per window is two full chunks and a half one
+        args = (Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 2_500, 100_000, 3)
+        counts = {}
+
+        def counting(d, r_lo, r_hi, n, rng, cap, count):
+            counts[n] = counts.get(n, 0) + count
+            return sample_exit(d, r_lo, r_hi, n, rng, cap=cap, count=count)
+
+        use_cpus(monkeypatch, 1)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "sample_exit", counting)
+            one = fit_exit_statistics(*args)
+        assert counts == {4: 2_500, 6: 2_500, 8: 2_500}
+        use_cpus(monkeypatch, 2)
+        assert fit_exit_statistics(*args) == one
 
     @pytest.mark.parametrize(
         "args",
@@ -817,6 +845,7 @@ class TestReportsDoNotDependOnCpus:
         return (
             estimate_speed(l1_gaussian(), "delayed", 20_000, 4, 5),
             fit_block_exponents(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 20_000, 3),
+            fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 4_000, 100_000, 3),
         )
 
     def test_one_cpu_matches_the_default_and_four_threads(self, monkeypatch):

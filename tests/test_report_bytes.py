@@ -89,7 +89,7 @@ DIGESTS = {
     "simulate": "7a1bcd666d2b6cd9d6234e454f8b2eee9ebd7b91eff3ac637171e135e1a80b31",
     "simulate-trace": "93ddd4ecbcb771ad9bc7354b744262234d388d332d7033c82ef32474b5fba67e",
     "sweep-json": "f7a8d7ad52a06bb284951ce61cc344d8697f6c6e2bb38ec7e430ffc68c66b527",
-    "exits": "bd0d236cd0b773bc82e7fd33eea1cf7f705e56c36972c1d7eb35fc6e0625fba5",
+    "exits": "4e979a4e9e163a346992b3e972cf25416dad63946500d7ec7b3130c2e9dcbd7d",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
     "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
     "predict-rademacher": "4c6cf67cfa91b34d89050411e22663c65e0ca994cb6924d3728538fb9683f943",
