@@ -7,8 +7,10 @@ with one stdout summary line per grid point; without ``--output`` the report
 itself is the stdout payload. Exit codes: 0 success, 1 domain failure,
 2 usage or config error, 3 exhausted budget or excess censoring.
 
-The Monte Carlo layer (``experiments`` and ``simulator``) is imported on the
-first call into it, so ``validate``, ``predict`` and ``ratefn`` never load it.
+The Monte Carlo layer (``experiments`` and the ``simulator``, ``sampling`` and
+``fitting`` modules it uses) is imported on the first call into it. Only
+that layer imports numpy, so ``validate``, ``predict`` and ``ratefn`` load
+neither the layer nor numpy.
 """
 
 from __future__ import annotations
@@ -16,17 +18,17 @@ from __future__ import annotations
 import functools
 import importlib
 import json
+import math
 import os
 from dataclasses import asdict, fields
 
-# a command's only BLAS calls are dot products of short vectors (atoms,
-# regimes, grid points) and its parallel work runs in forked processes, so
-# OpenBLAS's own threads would only start and idle; numpy reads this when
-# first imported
+# the theory commands make no BLAS calls, the Monte Carlo commands' only ones
+# are the slope fits' dot products over a few grid points, and their parallel
+# work runs in forked processes, so OpenBLAS's own threads would only start
+# and idle; numpy reads this when first imported
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
-import numpy as np
 
 from .distributions import FiniteDiscrete, Gaussian, Rademacher
 from .errors import (
@@ -235,7 +237,7 @@ def _pick_dist(spec: ModelSpec, index: int):
 
 def _finite(name: str, value) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value}")
     return value
 
@@ -252,7 +254,7 @@ def _law_grid_inputs(config, dist_index, n_grid, seed, r_lo, r_hi):
     bounds = []
     for name, flag, default in zip(("r_lo", "r_hi"), (r_lo, r_hi), threshold_bounds(spec, dist_index)):
         given = _resolve(name, flag, run_cfg)
-        if given is None and not np.isfinite(default):
+        if given is None and not math.isfinite(default):
             raise InvalidInputError(f"regime {dist_index} has an unbounded side; pass --r-lo/--r-hi explicitly")
         bounds.append(_finite(name, default if given is None else given))
     return run_cfg, d, grid, seed, bounds[0], bounds[1]
@@ -266,7 +268,7 @@ def _parse_r_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise click.BadParameter(f"--r-grid must be numeric lo:hi:step, got {text!r}")
-    if not np.isfinite([lo, hi, step]).all():
+    if not all(map(math.isfinite, (lo, hi, step))):
         raise click.BadParameter(f"--r-grid needs finite lo, hi and step, got {text!r}")
     if not step > 0 or hi < lo:
         raise click.BadParameter(f"--r-grid needs hi >= lo and step > 0, got {text!r}")
@@ -390,6 +392,8 @@ def cmd_simulate(config, version, steps, replicas, seed, output, trace):
 
 
 def _write_trace(spec, version, steps, seed, path):
+    import numpy as np
+
     res = run_walk(spec, version, steps, np.random.default_rng(np.random.SeedSequence(seed)))
     lines = ["n,X_n,regime,window_avg"]
     for t, x, reg, wavg in zip(

@@ -2,14 +2,13 @@
 
 Three families are supported: Gaussian, Rademacher (two atoms at -1/+1), and
 an arbitrary finite discrete law. Each exposes its mean, cumulant generating
-function K(t) = log E[e^{tX}] with first two derivatives, tail probabilities,
-and sampling. All of these stay finite and stable for |t| up to several
+function K(t) = log E[e^{tX}] with first two derivatives, and tail
+probabilities. All of these stay finite and stable for |t| up to several
 hundred; discrete laws use a max-exponent shift, never raw exp sums.
 
-A finite discrete law maps a uniform u to the atom whose cumulative weight
-first exceeds it. Up to the 128 atoms an int8 count holds, it counts the
-cumulative weights at or below u, one vectorised comparison per atom; larger
-supports take a binary search, ``searchsorted``.
+This module is plain Python on floats and imports no numpy, so the theory
+commands that only evaluate these functions never load it. Sums over atoms
+run left to right. Drawing from the laws is ``sampling``'s job.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import InvalidInputError, _real, _whole
+from .errors import InvalidInputError, _real
 
 __all__ = [
     "Gaussian",
@@ -30,10 +27,6 @@ __all__ = [
     "cgf",
     "cgf_derivatives",
     "tail_prob",
-    "base_variates",
-    "from_base",
-    "sample_n",
-    "sample_mean_sums",
     "support_bounds",
 ]
 
@@ -75,11 +68,9 @@ class FiniteDiscrete:
 
     atoms: tuple[float, ...]
     weights: tuple[float, ...]
-    # cached atom array and cumulative weights for inverse-CDF sampling; the
-    # weights are positive, so ``_cumw`` increases and counting its entries
-    # at or below u finds the same atom as searching it
-    _atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    _cumw: np.ndarray = field(init=False, repr=False, compare=False)
+    # the atom array and cumulative weights that ``sampling`` maps uniforms
+    # with, built there on the first draw
+    _arrays: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms, weights = tuple(self.atoms), tuple(self.weights)
@@ -98,20 +89,27 @@ class FiniteDiscrete:
             raise InvalidInputError(f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_atoms", np.asarray(atoms))
-        object.__setattr__(self, "_cumw", np.cumsum(np.asarray(weights)))
 
 
 IncrementDistribution = Gaussian | Rademacher | FiniteDiscrete
 
 
-def _as_finite_discrete(d: IncrementDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Atom/weight arrays for the two discrete families."""
+def _as_finite_discrete(d: IncrementDistribution) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Atoms and weights of the two discrete families."""
     if isinstance(d, Rademacher):
-        return np.array([-1.0, 1.0]), np.array([1.0 - d.p, d.p])
+        return (-1.0, 1.0), (1.0 - d.p, d.p)
     if isinstance(d, FiniteDiscrete):
-        return np.asarray(d.atoms), np.asarray(d.weights)
+        return d.atoms, d.weights
     raise TypeError(f"not a discrete distribution: {d!r}")
+
+
+def _tilted(d: IncrementDistribution, t: float) -> tuple[tuple[float, ...], list[float], float]:
+    """Atoms, their weights times e^{t a - m}, and the shift m: the largest
+    log of a tilted weight, so the largest term is exactly 1."""
+    atoms, weights = _as_finite_discrete(d)
+    expo = [t * a + math.log(w) for a, w in zip(atoms, weights)]
+    m = max(expo)
+    return atoms, [math.exp(e - m) for e in expo], m
 
 
 def mean(d: IncrementDistribution) -> float:
@@ -119,8 +117,7 @@ def mean(d: IncrementDistribution) -> float:
         return float(d.mu)
     if isinstance(d, Rademacher):
         return 2.0 * d.p - 1.0
-    atoms, weights = _as_finite_discrete(d)
-    return float(np.dot(atoms, weights))
+    return sum(a * w for a, w in zip(d.atoms, d.weights))
 
 
 def support_bounds(d: IncrementDistribution) -> tuple[float, float]:
@@ -128,7 +125,7 @@ def support_bounds(d: IncrementDistribution) -> tuple[float, float]:
     if isinstance(d, Gaussian):
         return (-math.inf, math.inf)
     atoms, _ = _as_finite_discrete(d)
-    return (float(atoms[0]), float(atoms[-1]))
+    return (atoms[0], atoms[-1])
 
 
 def cgf(d: IncrementDistribution, t: float) -> float:
@@ -138,10 +135,8 @@ def cgf(d: IncrementDistribution, t: float) -> float:
     """
     if isinstance(d, Gaussian):
         return d.mu * t + 0.5 * d.sigma2 * t * t
-    atoms, weights = _as_finite_discrete(d)
-    expo = t * atoms + np.log(weights)
-    m = float(np.max(expo))
-    return m + math.log(float(np.sum(np.exp(expo - m))))
+    _, terms, m = _tilted(d, t)
+    return m + math.log(sum(terms))
 
 
 def cgf_derivatives(d: IncrementDistribution, t: float) -> tuple[float, float]:
@@ -152,13 +147,11 @@ def cgf_derivatives(d: IncrementDistribution, t: float) -> tuple[float, float]:
     """
     if isinstance(d, Gaussian):
         return (d.mu + d.sigma2 * t, d.sigma2)
-    atoms, weights = _as_finite_discrete(d)
-    expo = t * atoms + np.log(weights)
-    expo -= np.max(expo)
-    tilted = np.exp(expo)
-    tilted /= tilted.sum()
-    m1 = float(np.dot(tilted, atoms))
-    m2 = float(np.dot(tilted, (atoms - m1) ** 2))
+    atoms, terms, _ = _tilted(d, t)
+    total = sum(terms)
+    tilted = [x / total for x in terms]
+    m1 = sum(p * a for p, a in zip(tilted, atoms))
+    m2 = sum(p * (a - m1) ** 2 for p, a in zip(tilted, atoms))
     return (m1, m2)
 
 
@@ -171,64 +164,6 @@ def tail_prob(d: IncrementDistribution, r: float, side: str) -> float:
         ge = 0.5 * math.erfc(z)
         return ge if side == "ge" else 0.5 * math.erfc(-z)
     atoms, weights = _as_finite_discrete(d)
-    ge = float(np.sum(weights[atoms >= r]))
-    return ge if side == "ge" else float(np.sum(weights[atoms < r]))
-
-
-def base_variates(d: IncrementDistribution, n: int, rng) -> np.ndarray:
-    """``n`` base variates: standard normals for a Gaussian law, uniforms otherwise."""
-    return rng.standard_normal(n) if isinstance(d, Gaussian) else rng.random(n)
-
-
-def from_base(d: IncrementDistribution, z: np.ndarray) -> np.ndarray:
-    """One draw of ``d`` per base variate: affine for a Gaussian, inverse CDF otherwise.
-
-    A finite discrete law's index for u is the number of cumulative weights
-    at or below u, which is ``searchsorted(u, "right")``; up to 128 atoms it
-    is counted with one comparison per atom.
-    """
-    if isinstance(d, Gaussian):
-        return d.mu + math.sqrt(d.sigma2) * z
-    if isinstance(d, Rademacher):
-        return np.where(z < 1.0 - d.p, -1.0, 1.0)
-    cumw = d._cumw
-    # A binary search costs more per draw than one comparison and its add,
-    # so counting wins on long arrays while it does at most 127 of them.
-    # Timed on one CPU of a shared 2-CPU x86 host (numpy 2.4, best of 7, on
-    # 2^15 uniforms), counting took 0.8 against 18 ns/draw at 4 atoms, 8.4
-    # against 48 at 32 and 30 against 73 at 128, the most an int8 count
-    # holds. On a single draw, as the reference step makes, it is slower:
-    # about 9 against 0.9 us at 4 atoms. The last weight is skipped: only a
-    # u at or above the total, which may fall short of 1 by rounding, passes
-    # it, and the clip gives that u the top atom anyway.
-    if cumw.size <= 128:
-        idx = np.zeros(z.shape, dtype=np.int8)
-        for c in cumw[:-1]:
-            idx += (z >= c).view(np.int8)
-    else:
-        idx = cumw.searchsorted(z, "right")
-    return d._atoms.take(idx, mode="clip")
-
-
-def sample_n(d: IncrementDistribution, n: int, rng) -> np.ndarray:
-    """``n`` draws, one base variate each."""
-    return from_base(d, base_variates(d, n, rng))
-
-
-def sample_mean_sums(d: IncrementDistribution, n: int, size: int, rng) -> np.ndarray:
-    """Draws of S_n = X_1 + ... + X_n, sampled from the exact law of S_n.
-
-    Gaussian sums are Gaussian; Rademacher sums follow a shifted binomial;
-    finite discrete sums are multinomial atom counts dotted with the atoms.
-    Distributionally identical to summing n single draws, at O(size) cost.
-    """
-    if not _whole(n) or n < 1:
-        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
-    if isinstance(d, Gaussian):
-        return n * d.mu + math.sqrt(n * d.sigma2) * rng.standard_normal(size)
-    if isinstance(d, Rademacher):
-        k = rng.binomial(n, d.p, size=size)
-        return 2.0 * k - n
-    counts = rng.multinomial(n, np.asarray(d.weights), size=size)
-    return counts @ np.asarray(d.atoms)
+    if side == "ge":
+        return sum((w for a, w in zip(atoms, weights) if a >= r), 0.0)
+    return sum((w for a, w in zip(atoms, weights) if a < r), 0.0)

@@ -16,8 +16,9 @@ own child of the grid point's stream, since whole grid points cannot balance
 the CPUs when the largest window dominates. Its chunks are also handed out
 largest window first, and each grid point is folded once its chunks are in.
 Speed runs aggregate per-replica terminal averages with batch-means error
-bars; the grid experiments wrap raw counts into slope fits against the
-matching rate-function values.
+bars; the grid experiments, and ``verify_cramer_slope``'s check of Cramer's
+theorem on one law, wrap raw counts into slope fits against the matching
+rate-function values.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import IncrementDistribution, mean, sample_n
+from .distributions import IncrementDistribution, mean, support_bounds
 from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _check_count, _whole
 from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
+from .sampling import sample_mean_sums, sample_n
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
 from .theory import ModelSpec, predict_limiting_speed
 
@@ -53,6 +55,7 @@ __all__ = [
     "fit_block_exponents",
     "ExitReport",
     "fit_exit_statistics",
+    "verify_cramer_slope",
     "estimate_persistence_constant",
 ]
 
@@ -702,6 +705,49 @@ def fit_exit_statistics(
         mean_stay=fit_log_growth(grid, mean_stay, se_stay, target=min(i_lo, i_hi)),
         censored_fractions=tuple(censored_fracs),
     )
+
+
+def verify_cramer_slope(
+    d: IncrementDistribution,
+    r: float,
+    side: str,
+    n_grid,
+    rng,
+    samples_per_n: int,
+) -> SlopeFit:
+    """Fit the Monte Carlo decay exponent of P(S_n/n >= r) (or <= r) over n_grid.
+
+    By Cramer's theorem (1/n) log P(S_n/n >= r) -> -I(r) for r above the
+    mean, and symmetrically below. Each grid point gets an independent child
+    stream of ``rng`` and ``samples_per_n`` draws of S_n from its exact law;
+    aggregation is in grid order, so results do not depend on execution
+    schedule. The fitted slope is comparable to RateFunction(d).evaluate(r),
+    returned as ``target``.
+
+    Grid points whose estimate is zero are dropped; fewer than 3 surviving
+    points raises DegenerateEstimateError.
+    """
+    if side not in ("ge", "le"):
+        raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
+    n_grid = check_grid(n_grid)
+    samples_per_n = check_samples(samples_per_n)
+    mu = mean(d)
+    slo, shi = support_bounds(d)
+    if side == "ge" and not (mu < r < shi):
+        raise InvalidInputError(f"for side='ge', r must lie strictly between the mean {mu} and the upper support edge {shi}")
+    if side == "le" and not (slo < r < mu):
+        raise InvalidInputError(f"for side='le', r must lie strictly between the lower support edge {slo} and the mean {mu}")
+
+    streams = rng.spawn(len(n_grid))
+    probs, ses = [], []
+    for n, stream in zip(n_grid, streams):
+        sums = sample_mean_sums(d, n, samples_per_n, stream)
+        hits = int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
+        p_hat = hits / samples_per_n
+        probs.append(p_hat)
+        ses.append(binomial_se(p_hat, samples_per_n))
+    target = RateFunction(d).evaluate(r)
+    return fit_log_decay(n_grid, probs, ses, target=target)
 
 
 def _persistence_profile(d, r: float, horizon: int, samples: int, rng) -> float:

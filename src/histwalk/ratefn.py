@@ -3,8 +3,7 @@
 For an increment law with cumulant generating function K, the rate function is
 I(r) = sup_t [t r - K(t)]. Empirical means then satisfy Cramer's theorem:
 (1/n) log P(S_n/n >= r) -> -I(r) for r above the mean, and symmetrically
-below. ``verify_cramer_slope`` measures that decay directly by Monte Carlo
-and fits the exponent.
+below; ``experiments.verify_cramer_slope`` measures that decay by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -12,22 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .distributions import (
-    Gaussian,
-    IncrementDistribution,
-    cgf,
-    cgf_derivatives,
-    mean,
-    sample_mean_sums,
-    support_bounds,
-    tail_prob,
-)
+from .distributions import Gaussian, IncrementDistribution, cgf, cgf_derivatives, support_bounds, tail_prob
 from .errors import InvalidInputError, NonConvergenceError
-from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay
 
-__all__ = ["RateFunction", "verify_cramer_slope"]
+__all__ = ["RateFunction"]
 
 # residual tolerance scale for the stationarity condition K'(t) = r
 _TOL_SCALE = 1e-10
@@ -110,44 +97,3 @@ class RateFunction:
         raise NonConvergenceError(
             f"Newton solve for K'(t)={r} did not reach |residual|<={tol} in {_MAX_ITER} iterations"
         )
-
-
-def verify_cramer_slope(
-    d: IncrementDistribution,
-    r: float,
-    side: str,
-    n_grid,
-    rng,
-    samples_per_n: int,
-) -> SlopeFit:
-    """Fit the Monte Carlo decay exponent of P(S_n/n >= r) (or <= r) over n_grid.
-
-    Each grid point gets an independent child stream of ``rng`` and
-    ``samples_per_n`` draws of S_n from its exact law; aggregation is in grid
-    order, so results do not depend on execution schedule. The fitted slope is
-    comparable to RateFunction(d).evaluate(r), returned as ``target``.
-
-    Grid points whose estimate is zero are dropped; fewer than 3 surviving
-    points raises DegenerateEstimateError.
-    """
-    if side not in ("ge", "le"):
-        raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
-    n_grid = check_grid(n_grid)
-    samples_per_n = check_samples(samples_per_n)
-    mu = mean(d)
-    slo, shi = support_bounds(d)
-    if side == "ge" and not (mu < r < shi):
-        raise InvalidInputError(f"for side='ge', r must lie strictly between the mean {mu} and the upper support edge {shi}")
-    if side == "le" and not (slo < r < mu):
-        raise InvalidInputError(f"for side='le', r must lie strictly between the lower support edge {slo} and the mean {mu}")
-
-    streams = rng.spawn(len(n_grid))
-    probs, ses = [], []
-    for n, stream in zip(n_grid, streams):
-        sums = sample_mean_sums(d, n, samples_per_n, stream)
-        hits = int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
-        p_hat = hits / samples_per_n
-        probs.append(p_hat)
-        ses.append(binomial_se(p_hat, samples_per_n))
-    target = RateFunction(d).evaluate(r)
-    return fit_log_decay(n_grid, probs, ses, target=target)

@@ -90,8 +90,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Gaussian, IncrementDistribution, base_variates, from_base, sample_n
+from .distributions import Gaussian, IncrementDistribution
 from .errors import InvalidInputError, _check_count, _whole
+from .sampling import base_variates, from_base, sample_n
 from .theory import VERSIONS, ModelSpec, threshold_bounds
 
 __all__ = [

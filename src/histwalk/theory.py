@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .distributions import IncrementDistribution, mean, tail_prob
 from .errors import AssumptionError, InvalidChainError, InvalidInputError, _real, _whole
@@ -202,11 +201,11 @@ def invariant_distribution(up_probs, down_probs) -> tuple[float, ...]:
     for p in up + down:
         if not (0.0 < p <= 1.0):
             raise InvalidChainError(f"move probabilities must lie in (0, 1], got {p}")
-    logw = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return tuple(float(x) for x in w)
+    logw = list(accumulate((math.log(u) - math.log(d) for u, d in zip(up, down)), initial=0.0))
+    top = max(logw)
+    w = [math.exp(x - top) for x in logw]
+    total = sum(w)
+    return tuple(x / total for x in w)
 
 
 def speed_formula(nu, mean_sojourn_steps, mean_displacements) -> float:
@@ -214,18 +213,22 @@ def speed_formula(nu, mean_sojourn_steps, mean_displacements) -> float:
 
     nu weights each regime by visit frequency; the speed is total expected
     displacement per cycle over total expected duration. Scale of nu cancels.
+    Every entry must be a finite number.
     """
-    nu = np.asarray(nu, dtype=float)
-    steps = np.asarray(mean_sojourn_steps, dtype=float)
-    disp = np.asarray(mean_displacements, dtype=float)
-    if not (nu.shape == steps.shape == disp.shape) or nu.ndim != 1 or nu.size == 0:
+    try:
+        nu, steps, disp = (tuple(map(float, xs)) for xs in (nu, mean_sojourn_steps, mean_displacements))
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"nu, sojourn steps and displacements must be sequences of numbers: {err}") from err
+    if not (len(nu) == len(steps) == len(disp)) or not nu:
         raise InvalidInputError("nu, sojourn steps and displacements must be equal-length 1-D sequences")
-    if np.any(nu < 0) or np.any(steps <= 0):
+    if not all(map(math.isfinite, nu + steps + disp)):
+        raise InvalidInputError("nu, sojourn steps and displacements must be finite")
+    if any(x < 0 for x in nu) or any(s <= 0 for s in steps):
         raise InvalidInputError("nu must be nonnegative and sojourn steps positive")
-    denom = float(np.dot(nu, steps))
+    denom = sum(x * s for x, s in zip(nu, steps))
     if denom <= 0.0:
         raise InvalidInputError("total expected duration must be positive")
-    return float(np.dot(nu, disp)) / denom
+    return sum(x * y for x, y in zip(nu, disp)) / denom
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 
 from conftest import oracle_regime_path, rademacher_script
 from histwalk.cli import main as cli_main
-from histwalk.distributions import Gaussian, Rademacher, sample_n
+from histwalk.distributions import Gaussian, Rademacher
 from histwalk.experiments import estimate_speed, fit_block_exponents, sweep_window
 from histwalk.fitting import fit_log_decay
 from histwalk.ratefn import RateFunction
+from histwalk.sampling import sample_n
 from histwalk.simulator import init, step_delayed, step_instantaneous
 from histwalk.theory import ModelSpec, invariant_distribution, speed_formula
 

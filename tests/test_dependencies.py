@@ -17,7 +17,7 @@ import pytest
 
 import histwalk.cli
 from histwalk import experiments, simulator, theory
-from test_report_bytes import LATTICE_LADDER
+from test_report_bytes import LATTICE_LADDER, RADEMACHER_LADDER
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNTIME = {"numpy", "click", "histwalk"}
@@ -49,12 +49,16 @@ def test_imports_are_declared_dependencies(tree):
     assert {path: names for path, names in stray.items() if names} == {}
 
 
-def fresh_python(probe: str, env: dict | None = None) -> list[str]:
-    """The stdout lines of ``probe`` run by a new interpreter on ``src``."""
+def fresh_stdout(probe: str, env: dict | None = None) -> bytes:
+    """The stdout of ``probe`` run by a new interpreter on ``src``."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True).stdout
+
+
+def fresh_python(probe: str, env: dict | None = None) -> list[str]:
+    """The stdout lines of ``probe`` run by a new interpreter on ``src``."""
+    return fresh_stdout(probe, env).decode().splitlines()
 
 
 def test_cli_import_loads_no_process_or_executor_machinery():
@@ -65,21 +69,33 @@ def test_cli_import_loads_no_process_or_executor_machinery():
 
 
 def test_theory_commands_load_no_monte_carlo_code(tmp_path):
+    # validate, predict and ratefn on a Gaussian, a lattice and a Rademacher
+    # ladder load neither the Monte Carlo layer nor numpy; simulate loads both
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps(LATTICE_LADDER))
+    rademacher = tmp_path / "rademacher.json"
+    rademacher.write_text(json.dumps(RADEMACHER_LADDER))
     runs = []
-    for config in (str(ROOT / "configs" / "l1_gaussian.json"), str(lattice)):
+    for config in (str(ROOT / "configs" / "l1_gaussian.json"), str(lattice), str(rademacher)):
         runs += [["validate", config], ["predict", config], ["ratefn", config, "--dist", "1", "--r-grid", "-1:3:0.5"]]
     simulate = ["simulate", str(lattice), "--steps", "2000", "--replicas", "2", "--output", str(tmp_path / "sim.json")]
-    probe = f"""
-import sys, histwalk.cli
+    theory = f"""
+import contextlib, io, sys, histwalk.cli
 for argv in {runs!r}:
     histwalk.cli.main(argv, standalone_mode=False)
-loaded = sorted(m for m in ("histwalk.simulator", "histwalk.experiments", "mmap", "select") if m in sys.modules)
-histwalk.cli.main({simulate!r}, standalone_mode=False)
-print(loaded, "histwalk.experiments" in sys.modules)
 """
-    assert fresh_python(probe)[-1] == "[] True"
+    modules = ("numpy", "histwalk.sampling", "histwalk.fitting", "histwalk.simulator", "histwalk.experiments", "mmap", "select")
+    probe = theory + f"""
+print(sorted(m for m in {modules!r} if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    histwalk.cli.main({simulate!r}, standalone_mode=False)
+print("histwalk.experiments" in sys.modules, "numpy" in sys.modules)
+"""
+    normal = fresh_stdout(probe)
+    assert normal.decode().splitlines()[-2:] == ["[]", "True True"]
+    # with numpy unimportable the same commands write the same bytes
+    blocked = fresh_stdout('import sys\nsys.modules["numpy"] = None' + theory)
+    assert normal.startswith(blocked) and normal[len(blocked):].count(b"\n") == 2
 
 
 def test_simulate_loads_no_masked_arrays(tmp_path):
@@ -98,7 +114,8 @@ print("numpy.ma" in sys.modules)
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
 def test_cli_runs_blas_on_one_thread_unless_told_otherwise():
-    probe = "import os, histwalk.cli; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    # the CLI imports no numpy itself; the Monte Carlo layer loads it later
+    probe = "import os, histwalk.cli, numpy; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     assert fresh_python(probe, env) == ["1 1"]
     assert fresh_python(probe, {**env, "OPENBLAS_NUM_THREADS": "2"})[0].split()[1] == "2"

@@ -1,23 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from histwalk import ratefn
 from histwalk.distributions import (
     FiniteDiscrete,
     Gaussian,
     Rademacher,
     cgf,
     cgf_derivatives,
-    from_base,
     mean,
-    sample_mean_sums,
-    sample_n,
     support_bounds,
     tail_prob,
 )
 from histwalk.errors import InvalidInputError
+from histwalk.ratefn import RateFunction
+from histwalk.sampling import from_base, lattice_arrays, sample_mean_sums, sample_n
 
 
 def finite_discretes(max_atoms=6):
@@ -177,6 +178,90 @@ def test_tail_prob_sides_sum_to_one_discrete(d, r):
     assert tail_prob(d, r, "ge") + tail_prob(d, r, "lt") == pytest.approx(1.0, abs=1e-12)
 
 
+# ------------------------------------------------- numpy formulas as an oracle
+
+# The scalar functions are plain Python. These are the numpy formulas they
+# replaced, kept as an independent oracle: the same shifted exponentials,
+# summed by numpy's reductions and dot products instead of left to right.
+
+
+def np_law(d):
+    if isinstance(d, Rademacher):
+        return np.array([-1.0, 1.0]), np.array([1.0 - d.p, d.p])
+    return np.asarray(d.atoms), np.asarray(d.weights)
+
+
+def np_mean(d):
+    atoms, weights = np_law(d)
+    return float(np.dot(atoms, weights))
+
+
+def np_cgf(d, t):
+    atoms, weights = np_law(d)
+    expo = t * atoms + np.log(weights)
+    m = float(np.max(expo))
+    return m + math.log(float(np.sum(np.exp(expo - m))))
+
+
+def np_cgf_derivatives(d, t):
+    atoms, weights = np_law(d)
+    expo = t * atoms + np.log(weights)
+    expo -= np.max(expo)
+    tilted = np.exp(expo)
+    tilted /= tilted.sum()
+    m1 = float(np.dot(tilted, atoms))
+    m2 = float(np.dot(tilted, (atoms - m1) ** 2))
+    return (m1, m2)
+
+
+def np_tail_prob(d, r, side):
+    atoms, weights = np_law(d)
+    return float(np.sum(weights[atoms >= r] if side == "ge" else weights[atoms < r]))
+
+
+# Every oracle value is a sum of at most six terms of size at most
+# |t| max|atom| <= 250, each rounded alike up to the last bit of a log or an
+# exp, so the two sides agree to a few units in the last place: 1e-12
+# relative, or 1e-12 absolute where a value cancels to near zero.
+ORACLE_REL = 1e-12
+# The Newton solves stop anywhere within 1e-10 * max(1, |r|) of K'(t) = r, so
+# the two sides' tilts may differ by that over K''; the value I(r) is
+# stationary in the tilt and moves by only the square of that step.
+SOLVE_REL = 1e-9
+
+laws = st.one_of(finite_discretes(), st.floats(min_value=0.01, max_value=0.99).map(Rademacher))
+
+
+def close(x, want, rel=ORACLE_REL):
+    return abs(x - want) <= rel * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws, st.floats(min_value=-50, max_value=50), st.floats(min_value=-6, max_value=6))
+def test_scalar_functions_match_the_numpy_oracle(d, t, r):
+    assert close(mean(d), np_mean(d))
+    assert close(cgf(d, t), np_cgf(d, t))
+    for got, want in zip(cgf_derivatives(d, t), np_cgf_derivatives(d, t)):
+        assert close(got, want)
+    for side in ("ge", "lt"):
+        assert close(tail_prob(d, r, side), np_tail_prob(d, r, side))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws, st.floats(min_value=-50, max_value=50))
+def test_rate_function_solve_matches_the_numpy_oracle(d, t):
+    # r is the tilted mean at t, so the solve's tilt is t up to its tolerance
+    r, k2 = np_cgf_derivatives(d, t)
+    lo, hi = support_bounds(d)
+    assume(lo < r < hi and k2 > 0.0)
+    value, tilt = RateFunction(d).solve(r)
+    with mock.patch.multiple(ratefn, cgf=np_cgf, cgf_derivatives=np_cgf_derivatives):
+        want_value, want_tilt = RateFunction(d).solve(r)
+    assert close(value, want_value, SOLVE_REL)
+    tol = 2e-10 * max(1.0, abs(r)) / k2
+    assert abs(tilt - want_tilt) <= tol + SOLVE_REL * max(1.0, abs(want_tilt))
+
+
 # ------------------------------------------------------------------- sampling
 
 
@@ -231,7 +316,7 @@ def test_inverse_cdf_maps_u_at_the_rounded_total_to_the_top_atom():
     # below 1, which the right-sided search puts past the last atom
     fd = FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.3, 0.4, 0.2, 0.1))
     top = np.nextafter(1.0, 0.0)
-    assert fd._cumw[-1] == top
+    assert lattice_arrays(fd)[1][-1] == top
     assert from_base(fd, np.array([0.0, 0.3, top])).tolist() == [-1.0, 0.0, 2.0]
 
 
@@ -241,11 +326,13 @@ def test_lattice_mapping_is_the_right_sided_search(fd, seed):
     # from_base counts the cumulative weights at or below u; that must be the
     # atom searchsorted(u, "right") picks, clipped to the top one for u at or
     # above the rounded total
-    cumw = fd._cumw
+    atoms, cumw = lattice_arrays(fd)
+    assert np.array_equal(cumw, np.cumsum(fd.weights))
+    assert atoms.tolist() == list(fd.atoms)
     edges = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), np.nextafter(cumw, 1.0)))
     # the edges, then random uniforms up to a whole number of rows of 64
     u = np.concatenate((edges, np.random.default_rng(seed).random(64 * (edges.size // 64 + 4) - edges.size)))
-    want = fd._atoms.take(cumw.searchsorted(u, "right"), mode="clip")
+    want = atoms.take(cumw.searchsorted(u, "right"), mode="clip")
     assert np.array_equal(from_base(fd, u), want)
     assert np.array_equal(from_base(fd, u.reshape(-1, 64)), want.reshape(-1, 64))
     assert np.array_equal(from_base(fd, edges), want[:edges.size])
@@ -261,9 +348,9 @@ def test_lattice_mapping_around_the_largest_count(k):
     w /= w.sum()
     w[-1] = 1.0 - w[:-1].sum()
     fd = FiniteDiscrete(tuple(map(float, range(k))), tuple(w))
-    cumw = fd._cumw
+    atoms, cumw = lattice_arrays(fd)
     u = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), rng.random(4096)))
-    want = fd._atoms.take(cumw.searchsorted(u, "right"), mode="clip")
+    want = atoms.take(cumw.searchsorted(u, "right"), mode="clip")
     assert np.array_equal(from_base(fd, u), want)
     assert want.max() == k - 1
 

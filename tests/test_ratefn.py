@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from histwalk import ratefn
 from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, cgf, mean, support_bounds
 from histwalk.errors import DegenerateEstimateError, InvalidInputError, NonConvergenceError
-from histwalk.ratefn import RateFunction, verify_cramer_slope
+from histwalk.experiments import verify_cramer_slope
+from histwalk.ratefn import RateFunction
 
 
 def binary_entropy_rate(p: float, r: float) -> float:

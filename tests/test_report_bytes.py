@@ -91,8 +91,8 @@ DIGESTS = {
     "sweep-json": "f7a8d7ad52a06bb284951ce61cc344d8697f6c6e2bb38ec7e430ffc68c66b527",
     "exits": "4e979a4e9e163a346992b3e972cf25416dad63946500d7ec7b3130c2e9dcbd7d",
     "blocks": "d57d7ae2c8b6d23fe20e28b9903c4c7b5bb91d07bfe5fb7c6afe044d5a8fee52",
-    "predict": "902c1144eb9415e8f66202406a7a682647589846033a6334ed66a1d5598c3d07",
-    "predict-rademacher": "4c6cf67cfa91b34d89050411e22663c65e0ca994cb6924d3728538fb9683f943",
+    "predict": "4760a7e03dab4789c334fa8b2c0e4cb7c43b790c11f7592ca3f2ea9428337ceb",
+    "predict-rademacher": "cb94dbfba8271f3341fcef9eab172a8c8d1fa1b2d745ce75cad4749e8e594e77",
     "simulate-rademacher": "abd57ca5c9bdec813e7e863b9b17b964d1babf791b892addb178c13f7a34a693",
     "validate": "bb78bbc66b028f43ae11335e5871e24cffad78c8b0ebbed59af4d9420f6fb212",
     "validate-failing": "8f96c7aac0b6b24ae28c2598cfe7660df7bd43ac1df1e00174865d9c43be2c60",

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import ScriptedRNG, oracle_regime_path, rademacher_script
 from histwalk import simulator
-from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, base_variates, from_base, sample_n
+from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher
 from histwalk.errors import InvalidInputError
+from histwalk.sampling import base_variates, from_base, sample_n
 from histwalk.simulator import (
     BlockOutcome,
     WalkState,

@@ -345,7 +345,16 @@ def test_speed_formula_scale_invariant_in_nu():
 
 
 def test_speed_formula_validates():
-    with pytest.raises(InvalidInputError):
-        speed_formula((0.5, 0.5), (100.0,), (0.0, 900.0))
-    with pytest.raises(InvalidInputError):
-        speed_formula((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+    for args in [
+        ((0.5, 0.5), (100.0,), (0.0, 900.0)),
+        ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
+        # a non-finite entry once gave nan or 0.0 instead of an error
+        ((1.0, math.nan), (1.0, 1.0), (1.0, 1.0)),
+        ((1.0, 1.0), (1.0, math.inf), (1.0, 1.0)),
+        ((1.0, 1.0), (1.0, 1.0), (-math.inf, 1.0)),
+        # not one-dimensional, or not numbers
+        (((0.5, 0.5),), ((1.0, 1.0),), ((0.0, 1.0),)),
+        ((0.5, "x"), (1.0, 1.0), (0.0, 1.0)),
+    ]:
+        with pytest.raises(InvalidInputError):
+            speed_formula(*args)
