@@ -180,9 +180,9 @@ def test_tail_prob_sides_sum_to_one_discrete(d, r):
 
 # ------------------------------------------------- numpy formulas as an oracle
 
-# The scalar functions are plain Python. These are the numpy formulas they
-# replaced, kept as an independent oracle: the same shifted exponentials,
-# summed by numpy's reductions and dot products instead of left to right.
+# The scalar functions are plain Python. These numpy versions of the same
+# formulas are an independent oracle: the same shifted exponentials, summed
+# by numpy's reductions and dot products instead of left to right.
 
 
 def np_law(d):
