@@ -1,6 +1,6 @@
-"""Exception types shared across the package; ``_whole`` and ``_real``, the
-integer and number tests behind its input checks; and ``_check_count``, the
-ceiling on step counts."""
+"""Exception types shared across the package, and the two tests behind its
+input checks: ``_integer`` for every count, window, seed and index, and
+``_real`` for every number."""
 
 import numbers
 
@@ -37,20 +37,21 @@ class ConfigError(HistwalkError, ValueError):
     """A config document could not be parsed into a model/run description."""
 
 
-def _whole(x) -> bool:
-    """Whether ``x`` is a real number, not a bool, with an integer value; NaN and infinities are not."""
+def _integer(name: str, value, low, high=2**53) -> int:
+    """``value`` as an int in [low, high], or InvalidInputError.
+
+    Any real with an integer value is taken, 3.0 as 3; bools, strings, NaN
+    and infinities are not. The default ceiling is 2**53, past which a float
+    no longer holds every integer: batch and checkpoint times are computed in
+    floats, and numpy's int64 overflows at 2**63. ``high=math.inf`` lifts it.
+    """
     try:
-        return not isinstance(x, bool) and isinstance(x, numbers.Real) and int(x) == x
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value
     except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _check_count(name: str, value: int) -> None:
-    """Refuse a step count above 2**53, past which a float no longer holds
-    every integer: batch and checkpoint times are computed in floats, and
-    numpy's int64 overflows at 2**63."""
-    if value > 2**53:
-        raise InvalidInputError(f"{name}={value} is above 2**53, the largest step count handled")
+        ok = False
+    if not (ok and low <= value <= high):
+        raise InvalidInputError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 def _real(x) -> bool:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, support_bounds
-from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _check_count, _whole
-from .fitting import SlopeFit, binomial_se, check_grid, check_samples, fit_log_decay, fit_log_growth
+from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _integer
+from .fitting import SlopeFit, binomial_se, check_grid, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .sampling import sample_mean_sums, sample_n
 from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
@@ -251,12 +251,6 @@ def _in_order(fn, tasks):
         index_file.close()
 
 
-def _check_seed(master_seed: int) -> int:
-    if not _whole(master_seed) or master_seed < 0:
-        raise InvalidInputError(f"master_seed must be a nonnegative integer, got {master_seed}")
-    return int(master_seed)
-
-
 @dataclass(frozen=True)
 class RegimeStats:
     """Sojourn statistics for one regime, over completed stays only.
@@ -296,13 +290,6 @@ def _batch_boundaries(steps: int) -> np.ndarray:
     return ends[np.diff(ends, prepend=-1) != 0]  # sorted already; np.unique would import numpy.ma
 
 
-def _check_steps(steps: int, n: int) -> None:
-    """A run must span at least 50 windows and at most 2**53 steps."""
-    if steps < 50 * n:
-        raise InvalidInputError(f"steps={steps} is too short for window {n}; need at least {50 * n}")
-    _check_count("steps", steps)
-
-
 def estimate_speed(
     spec: ModelSpec, version: str, steps: int, replicas: int, master_seed: int
 ) -> SimReport:
@@ -317,14 +304,9 @@ def estimate_speed(
     than an error.
     """
 
-    if not (_whole(steps) and _whole(replicas)):
-        raise InvalidInputError(f"steps and replicas must be integers, got {steps!r} and {replicas!r}")
-    steps = int(steps)
-    replicas = int(replicas)
-    master_seed = _check_seed(master_seed)
-    _check_steps(steps, spec.window)
-    if replicas < 2:
-        raise InvalidInputError(f"need at least 2 replicas, got {replicas}")
+    steps = _integer("steps", steps, 50 * spec.window)  # a run spans at least 50 windows
+    replicas = _integer("replicas", replicas, 2)
+    master_seed = _integer("master_seed", master_seed, 0, math.inf)
 
     bounds = _batch_boundaries(steps)
     nregimes = spec.l + 1
@@ -466,20 +448,16 @@ def sweep_window(
     """
 
     grid = check_grid(n_grid, minimum=1)
-    master_seed = _check_seed(master_seed)
+    replicas = _integer("replicas", replicas, 2)
+    master_seed = _integer("master_seed", master_seed, 0, math.inf)
     theory = predict_limiting_speed(spec)
     if theory.predicted_speed is None:
         raise AssumptionError(
             "predicted speed is tied between regimes; sweep verdict is undefined"
         )
-    if steps is None:
-        steps_used = tuple(map(default_steps_rule(spec), grid))
-    elif not _whole(steps):
-        raise InvalidInputError(f"steps must be an integer, got {steps!r}")
-    else:
-        steps_used = (int(steps),) * len(grid)
-    for n, steps_n in zip(grid, steps_used):
-        _check_steps(steps_n, n)
+    budgets = map(default_steps_rule(spec), grid) if steps is None else [steps] * len(grid)
+    # estimate_speed's floor, checked on every budget before the first run
+    steps_used = tuple(_integer("steps", s, 50 * n) for n, s in zip(grid, budgets))
 
     seeds = np.random.SeedSequence(master_seed).generate_state(len(grid), dtype=np.uint64)
     reports = []
@@ -496,7 +474,7 @@ def sweep_window(
     return SweepResult(
         version=version,
         n_grid=grid,
-        replicas=int(replicas),
+        replicas=replicas,
         master_seed=master_seed,
         predicted_speed=theory.predicted_speed,
         steps_used=steps_used,
@@ -516,8 +494,8 @@ def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     grid = check_grid(n_grid)
-    samples_per_n = check_samples(samples_per_n)
-    master_seed = _check_seed(master_seed)
+    samples_per_n = _integer("samples_per_n", samples_per_n, 1)
+    master_seed = _integer("master_seed", master_seed, 0, math.inf)
     rate = RateFunction(d)
     i_lo = rate.evaluate(r_lo)
     i_hi = rate.evaluate(r_hi)
@@ -642,12 +620,7 @@ def fit_exit_statistics(
     grid, samples_per_n, master_seed, i_lo, i_hi = _check_law_grid(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
-    if not _whole(cap):
-        raise InvalidInputError(f"cap must be an integer, got {cap!r}")
-    cap = int(cap)
-    if cap < grid[-1]:
-        raise InvalidInputError(f"cap={cap} is below the largest window {grid[-1]}")
-    _check_count("cap", cap)
+    cap = _integer("cap", cap, grid[-1])
     p_down = np.empty(len(grid))
     se_down = np.empty(len(grid))
     mean_stay = np.empty(len(grid))
@@ -730,7 +703,7 @@ def verify_cramer_slope(
     if side not in ("ge", "le"):
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
     n_grid = check_grid(n_grid)
-    samples_per_n = check_samples(samples_per_n)
+    samples_per_n = _integer("samples_per_n", samples_per_n, 1)
     mu = mean(d)
     slo, shi = support_bounds(d)
     if side == "ge" and not (mu < r < shi):
@@ -783,11 +756,7 @@ def estimate_persistence_constant(
 
     if not r < mean(d):
         raise AssumptionError(f"need r strictly below the mean {mean(d)}, got r={r}")
-    if not (_whole(horizon) and _whole(samples)):
-        raise InvalidInputError(f"horizon and samples must be integers, got {horizon!r} and {samples!r}")
-    horizon = int(horizon)
-    samples = int(samples)
-    if horizon < 1 or samples < 1:
-        raise InvalidInputError("horizon and samples must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(_check_seed(master_seed)))
+    horizon = _integer("horizon", horizon, 1)
+    samples = _integer("samples", samples, 1)
+    rng = np.random.default_rng(np.random.SeedSequence(_integer("master_seed", master_seed, 0, math.inf)))
     return _persistence_profile(d, r, horizon, samples, rng)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimateError, InvalidInputError, _whole
+from .errors import DegenerateEstimateError, InvalidInputError, _integer
 
-__all__ = ["SlopeFit", "binomial_se", "check_grid", "check_samples", "fit_log_decay", "fit_log_growth"]
+__all__ = ["SlopeFit", "binomial_se", "check_grid", "fit_log_decay", "fit_log_growth"]
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,12 @@ class SlopeFit:
 
 def check_grid(n_grid, minimum: int = 3) -> tuple[int, ...]:
     """A window grid: at least ``minimum`` strictly increasing positive integers."""
-    grid = tuple(n_grid)
-    if not all(map(_whole, grid)):
-        raise InvalidInputError(f"grid must be strictly increasing positive integers, got {grid}")
-    grid = tuple(map(int, grid))
+    grid = tuple(_integer("grid point", n, 1) for n in n_grid)
     if len(grid) < minimum:
         raise InvalidInputError(f"need at least {minimum} grid points, got {len(grid)}")
-    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"grid must be strictly increasing positive integers, got {grid}")
     return grid
-
-
-def check_samples(samples_per_n) -> int:
-    """A sample count per grid point: a positive integer."""
-    if not _whole(samples_per_n):
-        raise InvalidInputError(f"samples_per_n must be an integer, got {samples_per_n!r}")
-    if samples_per_n < 1:
-        raise InvalidInputError("samples_per_n must be positive")
-    return int(samples_per_n)
 
 
 def binomial_se(p, m):

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import FiniteDiscrete, Gaussian, IncrementDistribution, Rademacher
-from .errors import InvalidInputError, _whole
+from .errors import _integer
 
 __all__ = ["lattice_arrays", "base_variates", "from_base", "sample_n", "sample_mean_sums"]
 
@@ -85,9 +85,8 @@ def sample_mean_sums(d: IncrementDistribution, n: int, size: int, rng) -> np.nda
     finite discrete sums are multinomial atom counts dotted with the atoms.
     Distributionally identical to summing n single draws, at O(size) cost.
     """
-    if not _whole(n) or n < 1:
-        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _integer("n", n, 1)
+    size = _integer("size", size, 0)
     if isinstance(d, Gaussian):
         return n * d.mu + math.sqrt(n * d.sigma2) * rng.standard_normal(size)
     if isinstance(d, Rademacher):

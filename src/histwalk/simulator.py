@@ -91,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import Gaussian, IncrementDistribution
-from .errors import InvalidInputError, _check_count, _whole
+from .errors import InvalidInputError, _integer
 from .sampling import base_variates, from_base, sample_n
 from .theory import VERSIONS, ModelSpec, threshold_bounds
 
@@ -535,19 +535,12 @@ def run(
     are deduplicated, and those outside [1, steps] are dropped.
     """
     delayed = _check_version(version)
-    if not _whole(steps):
-        raise InvalidInputError(f"steps must be an integer, got {steps!r}")
-    steps = int(steps)
-    if steps < spec.window:
-        raise InvalidInputError(f"steps={steps} must be at least the window length {spec.window}")
-    _check_count("steps", steps)
+    steps = _integer("steps", steps, spec.window)
     if checkpoint_times is None:
         ckpts = _default_checkpoints(spec.window, steps).tolist()
     else:
-        times = list(checkpoint_times)
-        if not all(map(_whole, times)):
-            raise InvalidInputError(f"checkpoint_times must be integers, got {times!r}")
-        ckpts = sorted({int(t) for t in times if 1 <= t <= steps})
+        times = [_integer("checkpoint time", t, -math.inf, math.inf) for t in checkpoint_times]
+        ckpts = sorted({t for t in times if 1 <= t <= steps})
     bounds = [tuple(spec.window * r for r in threshold_bounds(spec, i)) for i in range(spec.l + 1)]
     walk = _Walk(
         spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts, record_increments
@@ -560,11 +553,8 @@ def _fresh_args(r_lo, r_hi, n, count):
     """A fresh sampler's N and count as checked ints, and N times each threshold."""
     if not r_lo < r_hi:
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
-    if not (_whole(n) and _whole(count)):
-        raise InvalidInputError(f"N and count must be integers, got N={n!r}, count={count!r}")
-    n, count = int(n), int(count)
-    if n < 1 or count < 1:
-        raise InvalidInputError(f"need N >= 1 and count >= 1, got N={n}, count={count}")
+    n = _integer("N", n, 1)
+    count = _integer("count", count, 1)
     return n, count, n * r_lo, n * r_hi
 
 
@@ -586,10 +576,7 @@ def sample_exit(
     block schedule, as the module docstring describes.
     """
     n, count, lo, hi = _fresh_args(r_lo, r_hi, n, count)
-    if not (_whole(cap) and cap >= n):
-        raise InvalidInputError(f"cap must be an integer >= N, got cap={cap!r}, N={n}")
-    cap = int(cap)
-    _check_count("cap", cap)
+    cap = _integer("cap", cap, n)
     stay_steps = np.full(count, cap, dtype=np.int64)
     stay_displacements = np.zeros(count)
     stay_exits = np.zeros(count, dtype=np.int8)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .distributions import IncrementDistribution, mean, tail_prob
-from .errors import AssumptionError, InvalidChainError, InvalidInputError, _real, _whole
+from .errors import AssumptionError, InvalidChainError, InvalidInputError, _integer, _real
 from .ratefn import RateFunction
 
 __all__ = [
@@ -75,16 +75,8 @@ class ModelSpec:
             raise InvalidInputError("thresholds must be finite")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise InvalidInputError(f"thresholds must be strictly increasing, got {self.thresholds}")
-        if not _whole(self.window) or self.window < 1:
-            raise InvalidInputError(f"window must be an integer >= 1, got {self.window}")
-        object.__setattr__(self, "window", int(self.window))
-        if not _whole(self.initial_regime):
-            raise InvalidInputError(f"initial_regime must be an integer, got {self.initial_regime}")
-        if not (0 <= self.initial_regime <= len(self.thresholds)):
-            raise InvalidInputError(
-                f"initial_regime must be in [0, {len(self.thresholds)}], got {self.initial_regime}"
-            )
-        object.__setattr__(self, "initial_regime", int(self.initial_regime))
+        object.__setattr__(self, "window", _integer("window", self.window, 1))
+        object.__setattr__(self, "initial_regime", _integer("initial_regime", self.initial_regime, 0, self.l))
 
     @property
     def l(self) -> int:

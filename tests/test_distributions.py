@@ -386,10 +386,11 @@ def test_sum_sampler_rademacher_parity():
     FiniteDiscrete((-1.0, 0.0, 2.0), (0.25, 0.5, 0.25)),
 ])
 def test_sum_sampler_rejects_counts_that_are_not_whole(d):
-    # n=2.5 would give Rademacher sums off the lattice, such as -0.5
-    for n in (2.5, math.nan, math.inf, "3"):
+    # n=2.5 would give Rademacher sums off the lattice, such as -0.5;
+    # size=True would pass for 1 draw
+    for n, size in [(2.5, 10), (math.nan, 10), (math.inf, 10), ("3", 10), (3, -1), (3, 2.5), (3, True)]:
         with pytest.raises(InvalidInputError):
-            sample_mean_sums(d, n, 10, np.random.default_rng(0))
+            sample_mean_sums(d, n, size, np.random.default_rng(0))
     whole = sample_mean_sums(d, 3.0, 10, np.random.default_rng(0))
     assert np.array_equal(whole, sample_mean_sums(d, 3, 10, np.random.default_rng(0)))
 

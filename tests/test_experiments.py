@@ -278,7 +278,7 @@ class TestSweepWindow:
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "run", counting_run)
-        with pytest.raises(InvalidInputError, match="steps=2000 is too short for window 1000"):
+        with pytest.raises(InvalidInputError, match=r"steps must be an integer in \[50000, \d+\], got 2000$"):
             sweep_window(l1_gaussian(), "delayed", (10, 20, 1000), 2, 1, steps=2000)
         assert calls == []
 
@@ -848,7 +848,7 @@ class TestReportsDoNotDependOnCpus:
             fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 4_000, 100_000, 3),
         )
 
-    def test_one_cpu_matches_the_default_and_four_threads(self, monkeypatch):
+    def test_one_cpu_matches_the_default_and_four_cpus(self, monkeypatch):
         default = self.reports()
         use_cpus(monkeypatch, 1)
         one = self.reports()
@@ -856,3 +856,38 @@ class TestReportsDoNotDependOnCpus:
         four = self.reports()
         assert one == default
         assert four == default
+
+
+class _NoSpawn(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError(f"SeedSequence.spawn({n_children}) was reached")
+
+
+def _unreached(*args, **kwargs):
+    raise AssertionError("a sampler was reached")
+
+
+LAW = Gaussian(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda k: fit_block_exponents(LAW, 0.4, 1.6, (4, 6, 8), k, 1), id="blocks-samples_per_n"),
+        pytest.param(lambda k: fit_exit_statistics(LAW, 0.4, 1.6, (4, 6, 8), k, 1_000, 1), id="exits-samples_per_n"),
+        pytest.param(lambda k: sample_exit(LAW, 0.4, 1.6, 4, np.random.default_rng(0), count=k), id="sample_exit-count"),
+        pytest.param(lambda k: sample_exit(LAW, 0.4, 1.6, k, np.random.default_rng(0)), id="sample_exit-N"),
+        pytest.param(lambda k: estimate_speed(near_flip_spec(), "delayed", 5_000, k, 0), id="replicas"),
+        pytest.param(lambda k: estimate_persistence_constant(LAW, 0.4, k, 10, 0), id="horizon"),
+        pytest.param(lambda k: estimate_persistence_constant(LAW, 0.4, 10, k, 0), id="persistence-samples"),
+        pytest.param(l1_gaussian, id="ModelSpec-window"),
+    ],
+)
+def test_every_count_above_2_53_is_refused(call, monkeypatch):
+    # the first use of the count raises, so a missing check fails at once
+    # instead of running for hours or allocating without bound
+    monkeypatch.setattr(experiments, "sample_block_outcomes", _unreached)
+    monkeypatch.setattr(experiments, "_persistence_profile", _unreached)
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+    with pytest.raises(InvalidInputError):
+        call(2**53 + 1)
