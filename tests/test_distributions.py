@@ -387,7 +387,7 @@ def test_sum_sampler_rademacher_parity():
 ])
 def test_sum_sampler_rejects_counts_that_are_not_whole(d):
     # n=2.5 would give Rademacher sums off the lattice, such as -0.5;
-    # size=True would pass for 1 draw
+    # size=True would be taken as 1
     for n, size in [(2.5, 10), (math.nan, 10), (math.inf, 10), ("3", 10), (3, -1), (3, 2.5), (3, True)]:
         with pytest.raises(InvalidInputError):
             sample_mean_sums(d, n, size, np.random.default_rng(0))
