@@ -187,10 +187,12 @@ def _guarded(fn):
             _fail(2, f"config error: {err}")
         except InvalidInputError as err:
             _fail(2, f"usage error: {err}")
+        except (NonConvergenceError, ExcessCensoringError, MemoryError, ChildProcessError) as err:
+            # a lost worker process most likely met the kernel's out-of-memory
+            # killer; ChildProcessError is an OSError, so it is caught first
+            _fail(3, f"budget error: {err}")
         except OSError as err:
             _fail(2, f"i/o error: {err}")
-        except (NonConvergenceError, ExcessCensoringError, MemoryError) as err:
-            _fail(3, f"budget error: {err}")
         except (AssumptionError, InvalidChainError, DegenerateEstimateError) as err:
             _fail(1, f"domain error: {err}")
 

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the two tests behind its
+"""Exception types shared across the package, and the tests behind its
 input checks: ``_integer`` for every count, window, seed and index, and
-``_real`` for every number."""
+``_real`` and ``_number`` for every other number."""
 
 import numbers
 
@@ -64,3 +64,10 @@ def _real(x) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def _number(name: str, value):
+    """``value`` itself if ``_real`` takes it, else InvalidInputError."""
+    if not _real(value):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return value

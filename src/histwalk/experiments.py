@@ -2,29 +2,30 @@
 
 Everything here consumes a master seed, fans replicas or grid points out over
 independent child streams, and folds results back together in a fixed order,
-so identical inputs give identical reports. Speed replicas, block-crossing
-grid points and chunks of fresh stays run in worker processes, the caller and
-children it forks, one per available CPU. Each worker claims the next task by
-reading its index from one unlinked temporary file at the offset they all
-share, and a task that fails moves that offset to the end, so no task starts
-after it. Each task keeps its own generator, and the results are folded in
-task order, so reports do not depend on how many CPUs there are.
-Block-crossing grid points are handed out largest window first, as a block
-costs 2N-1 draws, and their tallies are folded back in grid order. The exit
-fit cuts each grid point's stays into chunks of ``_EXIT_CHUNK``, each with its
-own child of the grid point's stream, since whole grid points cannot balance
-the CPUs when the largest window dominates. Its chunks are also handed out
-largest window first, and each grid point is folded once its chunks are in.
-Speed runs aggregate per-replica terminal averages with batch-means error
-bars; the grid experiments, and ``verify_cramer_slope``'s check of Cramer's
-theorem on one law, wrap raw counts into slope fits against the matching
-rate-function values.
+so identical inputs give identical reports. Speed replicas and the chunks of
+the grid fits run in worker processes, the caller and children it forks, one
+per available CPU. Each worker claims the next task by reading its index from
+one unlinked temporary file at the offset they all share, and a task that
+fails moves that offset to the end, so no task starts after it. Each task
+keeps its own generator, and the results are folded in task order, so reports
+do not depend on how many CPUs there are.
+
+The grid fits (block crossings, fresh exits and ``verify_cramer_slope``'s
+check of Cramer's theorem on one law) run their grid points through
+``_by_grid_point``, which hands them out largest window first and gives back
+each point's results once its last chunk is in. The exit fit cuts each grid
+point's stays into chunks of ``_EXIT_CHUNK``, each with its own child of the
+grid point's stream, since whole grid points cannot balance the CPUs when the
+largest window dominates. Speed runs aggregate per-replica terminal averages
+with batch-means error bars; the grid fits wrap raw counts into slope fits
+against the matching rate-function values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import IncrementDistribution, mean, support_bounds
-from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _integer
+from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _integer, _number
 from .fitting import SlopeFit, binomial_se, check_grid, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .sampling import sample_mean_sums, sample_n
@@ -251,6 +252,26 @@ def _in_order(fn, tasks):
         index_file.close()
 
 
+def _by_grid_point(fn, grid, chunks):
+    """Yield ``(k, results)`` for each grid point k once its last chunk is in.
+
+    ``chunks[k]`` lists point k's ``(seed, count)`` pairs, and ``results``
+    holds ``fn(grid[k], np.random.default_rng(seed), count)`` for each of
+    them, in chunk order. The chunks run through ``_in_order`` largest window
+    first, as fresh blocks and stays cost more draws the larger N is, so the
+    workers finish close together; the points therefore come back from the
+    last to the first, and a caller that folds each one as it comes holds one
+    point's results at a time.
+    """
+    tasks = [(k, seed, count) for k in reversed(range(len(grid))) for seed, count in chunks[k]]
+    results = []
+    for (k, _, _), result in zip(tasks, _in_order(lambda t: fn(grid[t[0]], np.random.default_rng(t[1]), t[2]), tasks)):
+        results.append(result)
+        if len(results) == len(chunks[k]):
+            yield k, results
+            results = []
+
+
 @dataclass(frozen=True)
 class RegimeStats:
     """Sojourn statistics for one regime, over completed stays only.
@@ -312,12 +333,7 @@ def estimate_speed(
     nregimes = spec.l + 1
     total_disp = 0.0
     batch_means: list[np.ndarray] = []
-    occupancy = np.zeros(nregimes, dtype=np.int64)
-    visits = np.zeros(nregimes, dtype=np.int64)
-    stay_up = np.zeros(nregimes, dtype=np.int64)
-    # completed stays of each regime, one array per replica, in stay order
-    stay_steps: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
-    stay_disp: list[list[np.ndarray]] = [[] for _ in range(nregimes)]
+    columns = []  # each replica's stay regimes, exits, steps and displacements
 
     def replica(child):
         return run(spec, version, steps, np.random.default_rng(child), checkpoint_times=bounds)
@@ -325,16 +341,14 @@ def estimate_speed(
     for res in _in_order(replica, np.random.SeedSequence(master_seed).spawn(replicas)):
         total_disp += res.position
         batch_means.append(np.diff(res.trace.positions, prepend=0.0) / np.diff(bounds, prepend=0))
-        regimes, exits = res.stay_regimes, res.stay_exits
-        visits += np.bincount(regimes, minlength=nregimes)
-        stay_up += np.bincount(regimes[exits == 1], minlength=nregimes)
-        completed = exits != 0
-        for i in range(nregimes):
-            here = regimes == i
-            occupancy[i] += res.stay_steps[here].sum()
-            stay_steps[i].append(res.stay_steps[here & completed])
-            stay_disp[i].append(res.stay_displacements[here & completed])
+        columns.append((res.stay_regimes, res.stay_exits, res.stay_steps, res.stay_displacements))
 
+    # every replica's stays, in replica and then stay order
+    regimes, exits, lengths, displacements = map(np.concatenate, zip(*columns))
+    occupancy = np.bincount(regimes, weights=lengths, minlength=nregimes)  # exact: sums below 2**53
+    visits = np.bincount(regimes, minlength=nregimes)
+    stay_up = np.bincount(regimes[exits == 1], minlength=nregimes)
+    completed = exits != 0
     pooled = np.concatenate(batch_means)
     est = total_disp / (replicas * steps)
     stderr = float(np.std(pooled, ddof=1) / math.sqrt(pooled.size))
@@ -343,12 +357,13 @@ def estimate_speed(
     warnings: list[str] = []
     per_regime: list[RegimeStats] = []
     for i in range(nregimes):
-        s = np.concatenate(stay_steps[i]).astype(float)
+        done = completed & (regimes == i)
+        s = lengths[done].astype(float)
         if s.size == 0:
             warnings.append(f"insufficient data: regime {i} has no completed sojourns")
             per_regime.append(RegimeStats(i, 0, None, None, None, None, None))
             continue
-        d = np.concatenate(stay_disp[i])
+        d = displacements[done]
         resid = d - means[i] * s
         wald_se = None
         if resid.size >= 2:
@@ -491,7 +506,7 @@ def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     Returns the checked grid, sample count and seed, then the rate function
     of ``d`` at ``r_lo`` and ``r_hi``, which must both be finite.
     """
-    if not r_lo < r_hi:
+    if not _number("r_lo", r_lo) < _number("r_hi", r_hi):
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     grid = check_grid(n_grid)
     samples_per_n = _integer("samples_per_n", samples_per_n, 1)
@@ -540,21 +555,13 @@ def fit_block_exponents(
     grid, samples_per_n, master_seed, i_lo, i_hi = _check_law_grid(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
-    counts = {out: [] for out in (BlockOutcome.UP, BlockOutcome.DOWN, BlockOutcome.BOTH)}
-
-    def point(task):
-        n, child = task
-        return sample_block_outcomes(d, r_lo, r_hi, n, np.random.default_rng(child), samples_per_n)
-
-    # largest windows first, as a block costs 2N-1 draws
     children = np.random.SeedSequence(master_seed).spawn(len(grid))
-    tallies = list(_in_order(point, reversed(tuple(zip(grid, children)))))
-    for tally in reversed(tallies):
-        for out in counts:
-            counts[out].append(tally[out])
+    tallies = dict(_by_grid_point(
+        functools.partial(sample_block_outcomes, d, r_lo, r_hi), grid, [[(c, samples_per_n)] for c in children]
+    ))
 
     def probs(out: BlockOutcome) -> tuple[np.ndarray, np.ndarray]:
-        p = np.asarray(counts[out], dtype=float) / samples_per_n
+        p = np.array([tallies[k][0][out] for k in range(len(grid))], dtype=float) / samples_per_n
         return p, binomial_se(p, samples_per_n)
 
     p_up, se_up = probs(BlockOutcome.UP)
@@ -621,38 +628,21 @@ def fit_exit_statistics(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
     cap = _integer("cap", cap, grid[-1])
-    p_down = np.empty(len(grid))
-    se_down = np.empty(len(grid))
-    mean_stay = np.empty(len(grid))
-    se_stay = np.empty(len(grid))
+    p_down, se_down, mean_stay, se_stay = np.empty((4, len(grid)))
     censored_fracs = [0.0] * len(grid)
-    chunks = -(-samples_per_n // _EXIT_CHUNK)
+    n_chunks = -(-samples_per_n // _EXIT_CHUNK)
+    counts = [min(_EXIT_CHUNK, samples_per_n - c * _EXIT_CHUNK) for c in range(n_chunks)]
     points = np.random.SeedSequence(master_seed).spawn(len(grid))
-    # largest windows first, as mean stays grow exponentially in N
-    tasks = [
-        (k, child, min(_EXIT_CHUNK, samples_per_n - c * _EXIT_CHUNK))
-        for k in reversed(range(len(grid)))
-        for c, child in enumerate(points[k].spawn(chunks))
-    ]
 
-    def chunk(task):
-        k, child, count = task
-        n = grid[k]
-        sample = sample_exit(d, r_lo, r_hi, n, np.random.default_rng(child), cap=cap, count=count)
+    def chunk(n, rng, count):
+        sample = sample_exit(d, r_lo, r_hi, n, rng, cap=cap, count=count)
         ended = sample.stay_exits != 0
         return (sample.stay_steps[ended] - n).astype(float), np.count_nonzero(sample.stay_exits == -1), sample.censored
 
-    # each grid point is folded once its last chunk is in, so only its
-    # chunks' columns are held at a time
-    parts = []
-    for (k, _, _), part in zip(tasks, _in_order(chunk, tasks)):
-        parts.append(part)
-        if len(parts) < chunks:
-            continue
+    for k, parts in _by_grid_point(chunk, grid, [list(zip(point.spawn(n_chunks), counts)) for point in points]):
         stays = np.concatenate([p[0] for p in parts])
         downs = sum(p[1] for p in parts)
         censored_fracs[k] = sum(p[2] for p in parts) / samples_per_n
-        parts = []
         if censored_fracs[k] > 0.05:
             continue  # raised below, for the smallest such window
         m = len(stays)
@@ -692,9 +682,8 @@ def verify_cramer_slope(
 
     By Cramer's theorem (1/n) log P(S_n/n >= r) -> -I(r) for r above the
     mean, and symmetrically below. Each grid point gets an independent child
-    stream of ``rng`` and ``samples_per_n`` draws of S_n from its exact law;
-    aggregation is in grid order, so results do not depend on execution
-    schedule. The fitted slope is comparable to RateFunction(d).evaluate(r),
+    stream of ``rng`` and ``samples_per_n`` draws of S_n from its exact law.
+    The fitted slope is comparable to RateFunction(d).evaluate(r),
     returned as ``target``.
 
     Grid points whose estimate is zero are dropped; fewer than 3 surviving
@@ -704,6 +693,7 @@ def verify_cramer_slope(
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
     n_grid = check_grid(n_grid)
     samples_per_n = _integer("samples_per_n", samples_per_n, 1)
+    _number("r", r)
     mu = mean(d)
     slo, shi = support_bounds(d)
     if side == "ge" and not (mu < r < shi):
@@ -711,14 +701,14 @@ def verify_cramer_slope(
     if side == "le" and not (slo < r < mu):
         raise InvalidInputError(f"for side='le', r must lie strictly between the lower support edge {slo} and the mean {mu}")
 
+    def hits(n, stream, count):
+        sums = sample_mean_sums(d, n, count, stream)
+        return int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
+
     streams = rng.spawn(len(n_grid))
-    probs, ses = [], []
-    for n, stream in zip(n_grid, streams):
-        sums = sample_mean_sums(d, n, samples_per_n, stream)
-        hits = int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
-        p_hat = hits / samples_per_n
-        probs.append(p_hat)
-        ses.append(binomial_se(p_hat, samples_per_n))
+    points = dict(_by_grid_point(hits, n_grid, [[(s, samples_per_n)] for s in streams]))
+    probs = [points[k][0] / samples_per_n for k in range(len(n_grid))]
+    ses = [binomial_se(p, samples_per_n) for p in probs]
     target = RateFunction(d).evaluate(r)
     return fit_log_decay(n_grid, probs, ses, target=target)
 
@@ -754,6 +744,8 @@ def estimate_persistence_constant(
     error bars.
     """
 
+    if math.isnan(_number("r", r)):
+        raise InvalidInputError("r must be a number, got nan")
     if not r < mean(d):
         raise AssumptionError(f"need r strictly below the mean {mean(d)}, got r={r}")
     horizon = _integer("horizon", horizon, 1)

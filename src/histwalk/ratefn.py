@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Gaussian, IncrementDistribution, cgf, cgf_derivatives, support_bounds, tail_prob
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import InvalidInputError, NonConvergenceError, _number
 
 __all__ = ["RateFunction"]
 
@@ -44,7 +44,7 @@ class RateFunction:
 
         The tilt is +-inf at a support endpoint and nan outside the support.
         """
-        r = float(r)
+        r = float(_number("r", r))
         if not math.isfinite(r):
             raise InvalidInputError(f"r must be finite, got {r}")
         d = self.dist

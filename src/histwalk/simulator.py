@@ -91,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import Gaussian, IncrementDistribution
-from .errors import InvalidInputError, _integer
+from .errors import InvalidInputError, _integer, _number
 from .sampling import base_variates, from_base, sample_n
 from .theory import VERSIONS, ModelSpec, threshold_bounds
 
@@ -551,7 +551,7 @@ def run(
 
 def _fresh_args(r_lo, r_hi, n, count):
     """A fresh sampler's N and count as checked ints, and N times each threshold."""
-    if not r_lo < r_hi:
+    if not _number("r_lo", r_lo) < _number("r_hi", r_hi):
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     n = _integer("N", n, 1)
     count = _integer("count", count, 1)

@@ -1,10 +1,19 @@
-"""Shared test helpers: a scripted uniform source and a from-scratch rule
+"""Shared test helpers: a scripted uniform source, a from-scratch rule
 oracle that recomputes regime trajectories directly from the definition,
-with no ring buffers or chunking."""
+with no ring buffers or chunking, and a wait for a file that another
+process makes."""
 
 import math
+import time
 
 import numpy as np
+
+
+def wait_for(path, seconds=10.0):
+    """Return once ``path`` exists, or after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
 
 
 class ScriptedRNG:

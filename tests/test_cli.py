@@ -2,11 +2,13 @@
 
 import json
 import os
+import signal
 import stat
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import wait_for
 from histwalk import experiments
 from histwalk.cli import _RUN_KEYS, load_config, main
 from histwalk.distributions import Gaussian
@@ -318,6 +320,27 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", write_config(tmp_path, L1_DOC), "--replicas", "4"])
         assert res.exit_code == code
         assert f"{prefix} replica 1 failed" in res.stderr
+        assert "Traceback" not in res.output
+
+    def test_lost_worker_is_a_budget_error(self, runner, tmp_path, monkeypatch):
+        # a worker killed by a signal most likely met the out-of-memory killer
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller = os.getpid()
+        started = tmp_path / "a child started"
+        real_run = experiments.run
+
+        def run(spec, version, steps, rng, **kwargs):
+            if os.getpid() == caller:
+                wait_for(started)  # so that the child claims a replica
+                return real_run(spec, version, steps, rng, **kwargs)
+            started.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(experiments, "run", run)
+        res = runner.invoke(main, ["simulate", write_config(tmp_path, L1_DOC), "--replicas", "4"])
+        assert res.exit_code == 3
+        assert "budget error: task" in res.stderr
+        assert "was lost: worker processes exited with statuses [-9]" in res.stderr
         assert "Traceback" not in res.output
 
     def test_output_is_byte_identical_across_reruns(self, runner, tmp_path):

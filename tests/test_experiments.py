@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedRNG
+from conftest import ScriptedRNG, wait_for
 from histwalk import experiments
 from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, tail_prob
 from histwalk.errors import (
@@ -41,8 +41,10 @@ from histwalk.experiments import (
     fit_block_exponents,
     fit_exit_statistics,
     sweep_window,
+    verify_cramer_slope,
 )
-from histwalk.simulator import sample_exit
+from histwalk.ratefn import RateFunction
+from histwalk.simulator import sample_block_outcomes, sample_exit
 from histwalk.theory import ModelSpec, speed_formula
 
 
@@ -564,12 +566,6 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def wait_for(path, seconds=10.0):
-    deadline = time.monotonic() + seconds
-    while not path.exists() and time.monotonic() < deadline:
-        time.sleep(0.005)
-
-
 def split_task(tmp_path, in_child):
     """A task that runs ``in_child(k)`` in a forked child and returns ``k`` in
     the caller, but only once some child has started a task, so that every
@@ -846,6 +842,7 @@ class TestReportsDoNotDependOnCpus:
             estimate_speed(l1_gaussian(), "delayed", 20_000, 4, 5),
             fit_block_exponents(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 20_000, 3),
             fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 4_000, 100_000, 3),
+            verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (4, 8, 12), np.random.default_rng(3), 20_000),
         )
 
     def test_one_cpu_matches_the_default_and_four_cpus(self, monkeypatch):
@@ -891,3 +888,42 @@ def test_every_count_above_2_53_is_refused(call, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
     with pytest.raises(InvalidInputError):
         call(2**53 + 1)
+
+
+def _thresholds_refused(lo, hi):
+    rng = np.random.default_rng(0)
+    return [
+        pytest.param(lambda: sample_exit(LAW, lo, hi, 3, rng, count=2), id=f"sample_exit-{lo!r}"),
+        pytest.param(lambda: sample_block_outcomes(LAW, lo, hi, 3, rng, 2), id=f"sample_block_outcomes-{lo!r}"),
+        pytest.param(lambda: fit_block_exponents(LAW, lo, hi, (4, 6, 8), 100, 1), id=f"blocks-{lo!r}"),
+        pytest.param(lambda: fit_exit_statistics(LAW, lo, hi, (4, 6, 8), 100, 1_000, 1), id=f"exits-{lo!r}"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *_thresholds_refused("0.4", "1.6"),
+        *_thresholds_refused(True, 1.6),
+        pytest.param(lambda: RateFunction(LAW).solve("0.4"), id="solve-'0.4'"),
+        pytest.param(lambda: RateFunction(LAW).solve(True), id="solve-True"),
+        pytest.param(
+            lambda: verify_cramer_slope(LAW, "1.5", "ge", (4, 6, 8), np.random.default_rng(0), 100), id="cramer-'1.5'"
+        ),
+        pytest.param(
+            lambda: verify_cramer_slope(Gaussian(0.0, 1.0), True, "ge", (4, 6, 8), np.random.default_rng(0), 100),
+            id="cramer-True",
+        ),
+        pytest.param(lambda: estimate_persistence_constant(LAW, "0.4", 10, 10, 0), id="persistence-'0.4'"),
+        pytest.param(lambda: estimate_persistence_constant(LAW, True, 10, 10, 0), id="persistence-True"),
+        pytest.param(lambda: estimate_persistence_constant(LAW, math.nan, 10, 10, 0), id="persistence-nan"),
+    ],
+)
+def test_every_level_that_is_not_a_number_is_refused(call, monkeypatch):
+    # strings and bools pass float(), and a string threshold times N is a
+    # repeated string; each must be refused before any draw or fork
+    monkeypatch.setattr(experiments, "sample_block_outcomes", _unreached)
+    monkeypatch.setattr(experiments, "_persistence_profile", _unreached)
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+    with pytest.raises(InvalidInputError, match="must be a number"):
+        call()
