@@ -11,11 +11,19 @@ The Monte Carlo layer (``experiments`` and the ``simulator``, ``sampling`` and
 ``fitting`` modules it uses) is imported on the first call into it. Only
 that layer imports numpy, so ``validate``, ``predict`` and ``ratefn`` load
 neither the layer nor numpy.
+
+``run`` is the program's entry point, for the ``histwalk`` script and for
+``python -m histwalk.cli``: it freezes the garbage collector's objects as the
+process exits, so teardown skips collecting the objects built at import (about
+24k with numpy loaded), while ``main``, the click group that in-process callers
+invoke, never does.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
 import importlib
 import json
 import math
@@ -546,5 +554,18 @@ def cmd_persistence(config, dist_index, r_level, horizon, samples, seed, output)
     _emit(_dump_json(doc), output, [f"estimate={estimate!r}"])
 
 
-if __name__ == "__main__":
+def run():
+    """Run the command line, then exit without teardown's collections.
+
+    ``gc.freeze`` moves every tracked object to the permanent generation,
+    which the collections run at interpreter shutdown skip. Hooks run last
+    registered first, so this one runs after every hook that the commands and
+    the libraries they import register; those hooks, stdio flushing and the
+    exit status are as without it.
+    """
+    atexit.register(gc.freeze)
     main()
+
+
+if __name__ == "__main__":
+    run()

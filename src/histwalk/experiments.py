@@ -97,7 +97,12 @@ def _claim(queue: int) -> int | None:
     failed task moved the offset there.
 
     Linux serialises reads on a shared regular-file offset (since 3.14), so
-    each index reaches exactly one worker.
+    each index reaches exactly one worker. The file must stay a regular file
+    on disk: on an ``os.memfd_create`` descriptor the offset is not
+    serialised (Linux 6.18), and three forked readers of 200,000 indices made
+    268k-386k claims, handing some indices out up to eight times, where a
+    ``TemporaryFile`` handed out each index once.
+    ``test_every_task_runs_once_past_the_pipe_buffer`` fails on such a switch.
     """
     index = os.read(queue, _INDEX_BYTES)
     return int.from_bytes(index, sys.byteorder) if index else None
@@ -683,8 +688,9 @@ def verify_cramer_slope(
     By Cramer's theorem (1/n) log P(S_n/n >= r) -> -I(r) for r above the
     mean, and symmetrically below. Each grid point gets an independent child
     stream of ``rng`` and ``samples_per_n`` draws of S_n from its exact law.
-    The fitted slope is comparable to RateFunction(d).evaluate(r),
-    returned as ``target``.
+    ``rng`` is a Generator or an int seed; seed s gives the streams of
+    ``np.random.default_rng(s)``. The fitted slope is comparable to
+    RateFunction(d).evaluate(r), returned as ``target``.
 
     Grid points whose estimate is zero are dropped; fewer than 3 surviving
     points raises DegenerateEstimateError.
@@ -693,6 +699,9 @@ def verify_cramer_slope(
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
     n_grid = check_grid(n_grid)
     samples_per_n = _integer("samples_per_n", samples_per_n, 1)
+    if not isinstance(rng, np.random.Generator):
+        # a Generator's children are those of its SeedSequence
+        rng = np.random.SeedSequence(_integer("seed", rng, 0, math.inf))
     _number("r", r)
     mu = mean(d)
     slo, shi = support_bounds(d)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import histwalk.cli
 from histwalk import experiments, simulator, theory
@@ -49,11 +50,18 @@ def test_imports_are_declared_dependencies(tree):
     assert {path: names for path, names in stray.items() if names} == {}
 
 
-def fresh_stdout(probe: str, env: dict | None = None) -> bytes:
-    """The stdout of ``probe`` run by a new interpreter on ``src``."""
+def fresh_run(args: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
+    """A new interpreter on ``src`` run with ``args``, its output captured."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def fresh_stdout(probe: str, env: dict | None = None) -> bytes:
+    """The stdout of ``probe`` run by a new interpreter on ``src``."""
+    res = fresh_run(["-c", probe], env)
+    res.check_returncode()
+    return res.stdout
 
 
 def fresh_python(probe: str, env: dict | None = None) -> list[str]:
@@ -132,3 +140,56 @@ def test_rule_names_are_defined_once_and_deferred_names_keep_their_targets_names
     }
     for name, target in targets.items():
         assert getattr(histwalk.cli, name).__name__ == target.__name__, name
+
+
+L1_CONFIG = str(ROOT / "configs" / "l1_gaussian.json")
+L1_DOC = json.loads(Path(L1_CONFIG).read_text())
+
+# the program's two entries, and click's runner: an in-process caller of
+# ``main``, as bench/tracing.py is
+ENTRIES = {
+    "script": "import histwalk.cli\nsys.argv = ['histwalk', 'predict', CONFIG]\nhistwalk.cli.run()",
+    "module": "sys.argv = ['histwalk', 'predict', CONFIG]\nrunpy.run_module('histwalk.cli', run_name='__main__', alter_sys=True)",
+    "runner": """
+import histwalk.cli
+for args in (['predict', CONFIG], ['validate', CONFIG], ['ratefn', CONFIG, '--dist', '1', '--r-grid', '0:1:0.5']):
+    assert CliRunner().invoke(histwalk.cli.main, args).exit_code == 0
+print("in process", gc.get_freeze_count())
+""",
+}
+
+
+@pytest.mark.parametrize("entry, frozen", [("script", True), ("module", True), ("runner", False)])
+def test_only_the_program_entries_freeze_the_collector_at_exit(entry, frozen):
+    # registered first, the probe runs after every hook the program registers
+    probe = f"""
+import atexit, gc, runpy, sys
+from click.testing import CliRunner
+atexit.register(lambda: print("at exit", gc.get_freeze_count() > 0))
+CONFIG = {L1_CONFIG!r}
+{ENTRIES[entry]}
+"""
+    lines = fresh_python(probe)
+    assert lines[-1] == f"at exit {frozen}"
+    if entry == "runner":
+        assert lines[0] == "in process 0"
+
+
+@pytest.mark.parametrize(
+    "command, doc, status",
+    [
+        ("predict", None, 0),
+        ("predict", {"bogus": 1}, 2),
+        ("validate", {"model": {**L1_DOC["model"], "thresholds": [1.5]}}, 1),
+    ],
+    ids=["predict", "unknown-key", "unreachable-threshold"],
+)
+def test_the_module_exits_as_the_in_process_command(tmp_path, command, doc, status):
+    config = L1_CONFIG
+    if doc is not None:
+        config = str(tmp_path / "model.json")
+        Path(config).write_text(json.dumps({**L1_DOC, **doc}))
+    res = fresh_run(["-m", "histwalk.cli", command, config])
+    inproc = CliRunner().invoke(histwalk.cli.main, [command, config])
+    assert inproc.exit_code == status
+    assert (res.returncode, res.stdout.decode(), res.stderr.decode()) == (status, inproc.stdout, inproc.stderr)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histwalk import ratefn
+from histwalk import experiments, ratefn
 from histwalk.distributions import FiniteDiscrete, Gaussian, Rademacher, cgf, mean, support_bounds
 from histwalk.errors import DegenerateEstimateError, InvalidInputError, NonConvergenceError
 from histwalk.experiments import verify_cramer_slope
@@ -201,3 +201,25 @@ def test_cramer_slope_deterministic_given_seed():
     f2 = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40),
                              np.random.default_rng(5), 50_000)
     assert f1.slope == f2.slope and f1.values == f2.values
+
+
+def test_cramer_slope_takes_an_int_seed():
+    # seed s runs on the child streams of default_rng(s)
+    args = (Gaussian(0.0, 1.0), 0.5, "ge", (4, 6, 8))
+    assert verify_cramer_slope(*args, 5, 2_000) == verify_cramer_slope(*args, np.random.default_rng(5), 2_000)
+
+
+def _unreached(*args, **kwargs):
+    raise AssertionError("a grid point was run")
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [-1, "5", 1.5, None, np.random.SeedSequence(5)],
+    ids=["negative", "string", "fraction", "None", "SeedSequence"],
+)
+def test_cramer_slope_refuses_a_seed_that_is_neither_int_nor_generator(seed, monkeypatch):
+    # refused before any grid point is drawn or forked
+    monkeypatch.setattr(experiments, "_by_grid_point", _unreached)
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (4, 6, 8), seed, 100)
