@@ -90,7 +90,7 @@ def _build_dist(obj, where: str):
     if kind not in _DIST_LAWS:
         raise ConfigError(f"{where}: kind must be one of {sorted(_DIST_LAWS)}, got {kind!r}")
     law = _DIST_LAWS[kind]
-    names = {f.name for f in fields(law) if f.init}
+    names = {f.name for f in fields(law)}
     _reject_unknown(obj, names | {"kind"}, where)
     missing = sorted(names - set(obj))
     if missing:

@@ -8,13 +8,14 @@ hundred; discrete laws use a max-exponent shift, never raw exp sums.
 
 This module is plain Python on floats and imports no numpy, so the theory
 commands that only evaluate these functions never load it. Sums over atoms
-run left to right. Drawing from the laws is ``sampling``'s job.
+run left to right. Laws are plain frozen values that carry no sampling
+state: drawing from them, and any table built for it, is ``sampling``'s job.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInputError, _real
 
@@ -68,9 +69,6 @@ class FiniteDiscrete:
 
     atoms: tuple[float, ...]
     weights: tuple[float, ...]
-    # the atom array and cumulative weights that ``sampling`` maps uniforms
-    # with, built there on the first draw
-    _arrays: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms, weights = tuple(self.atoms), tuple(self.weights)
@@ -92,6 +90,13 @@ class FiniteDiscrete:
 
 
 IncrementDistribution = Gaussian | Rademacher | FiniteDiscrete
+
+
+def _law(name: str, d):
+    """``d`` itself if it is a Gaussian, Rademacher or FiniteDiscrete law, else InvalidInputError."""
+    if not isinstance(d, IncrementDistribution):
+        raise InvalidInputError(f"{name} must be a Gaussian, Rademacher or FiniteDiscrete law, got {d!r}")
+    return d
 
 
 def _as_finite_discrete(d: IncrementDistribution) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -37,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import IncrementDistribution, mean, support_bounds
+from .distributions import IncrementDistribution, _law, mean, support_bounds
 from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _integer, _number
 from .fitting import SlopeFit, binomial_se, check_grid, fit_log_decay, fit_log_growth
 from .ratefn import RateFunction
 from .sampling import sample_mean_sums, sample_n
-from .simulator import BlockOutcome, run, sample_block_outcomes, sample_exit
+from .simulator import BlockOutcome, _check_version, run, sample_block_outcomes, sample_exit
 from .theory import ModelSpec, predict_limiting_speed
 
 __all__ = [
@@ -330,6 +330,7 @@ def estimate_speed(
     than an error.
     """
 
+    _check_version(version)  # here, as a bad name would otherwise fork the replicas first
     steps = _integer("steps", steps, 50 * spec.window)  # a run spans at least 50 windows
     replicas = _integer("replicas", replicas, 2)
     master_seed = _integer("master_seed", master_seed, 0, math.inf)
@@ -511,6 +512,7 @@ def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     Returns the checked grid, sample count and seed, then the rate function
     of ``d`` at ``r_lo`` and ``r_hi``, which must both be finite.
     """
+    _law("d", d)
     if not _number("r_lo", r_lo) < _number("r_hi", r_hi):
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     grid = check_grid(n_grid)
@@ -695,6 +697,7 @@ def verify_cramer_slope(
     Grid points whose estimate is zero are dropped; fewer than 3 surviving
     points raises DegenerateEstimateError.
     """
+    _law("d", d)
     if side not in ("ge", "le"):
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
     n_grid = check_grid(n_grid)
@@ -755,7 +758,7 @@ def estimate_persistence_constant(
 
     if math.isnan(_number("r", r)):
         raise InvalidInputError("r must be a number, got nan")
-    if not r < mean(d):
+    if not r < mean(_law("d", d)):
         raise AssumptionError(f"need r strictly below the mean {mean(d)}, got r={r}")
     horizon = _integer("horizon", horizon, 1)
     samples = _integer("samples", samples, 1)

@@ -90,7 +90,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Gaussian, IncrementDistribution
+from .distributions import Gaussian, IncrementDistribution, _law
 from .errors import InvalidInputError, _integer, _number
 from .sampling import base_variates, from_base, sample_n
 from .theory import VERSIONS, ModelSpec, threshold_bounds
@@ -549,8 +549,9 @@ def run(
     return walk.result()
 
 
-def _fresh_args(r_lo, r_hi, n, count):
+def _fresh_args(d, r_lo, r_hi, n, count):
     """A fresh sampler's N and count as checked ints, and N times each threshold."""
+    _law("d", d)
     if not _number("r_lo", r_lo) < _number("r_hi", r_hi):
         raise InvalidInputError(f"need r_lo < r_hi, got ({r_lo}, {r_hi})")
     n = _integer("N", n, 1)
@@ -575,7 +576,7 @@ def sample_exit(
     exceed ``cap`` draws is censored at ``cap``. The stays are the rows of one
     block schedule, as the module docstring describes.
     """
-    n, count, lo, hi = _fresh_args(r_lo, r_hi, n, count)
+    n, count, lo, hi = _fresh_args(d, r_lo, r_hi, n, count)
     cap = _integer("cap", cap, n)
     stay_steps = np.full(count, cap, dtype=np.int64)
     stay_displacements = np.zeros(count)
@@ -643,7 +644,7 @@ def sample_block_outcomes(
     A batch is laid out one column per block, so the max and min of its
     ``_window_sums`` are element-wise reductions across contiguous rows.
     """
-    n, count, lo, hi = _fresh_args(r_lo, r_hi, n, count)
+    n, count, lo, hi = _fresh_args(d, r_lo, r_hi, n, count)
     rows_per_batch = max(1, _BLOCK_CAP // (2 * n))
     up = down = both = 0
     for done in range(0, count, rows_per_batch):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .distributions import IncrementDistribution, mean, tail_prob
+from .distributions import IncrementDistribution, _law, mean, tail_prob
 from .errors import AssumptionError, InvalidChainError, InvalidInputError, _integer, _real
 from .ratefn import RateFunction
 
@@ -60,7 +60,7 @@ class ModelSpec:
     initial_regime: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dists", tuple(self.dists))
+        object.__setattr__(self, "dists", tuple(_law(f"dists[{i}]", d) for i, d in enumerate(self.dists)))
         thresholds = tuple(self.thresholds)
         if not all(map(_real, thresholds)):
             raise InvalidInputError(f"thresholds must be numbers, got {thresholds}")

@@ -10,6 +10,7 @@ from histwalk.distributions import (
     FiniteDiscrete,
     Gaussian,
     Rademacher,
+    _as_finite_discrete,
     cgf,
     cgf_derivatives,
     mean,
@@ -321,14 +322,18 @@ def test_inverse_cdf_maps_u_at_the_rounded_total_to_the_top_atom():
 
 
 @settings(max_examples=60, deadline=None)
-@given(finite_discretes(max_atoms=64), st.integers(min_value=0, max_value=2**32 - 1))
+@given(
+    st.one_of(finite_discretes(max_atoms=64), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(Rademacher)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
 def test_lattice_mapping_is_the_right_sided_search(fd, seed):
     # from_base counts the cumulative weights at or below u; that must be the
     # atom searchsorted(u, "right") picks, clipped to the top one for u at or
-    # above the rounded total
+    # above the rounded total. A Rademacher law is its two-atom lattice.
+    law_atoms, weights = _as_finite_discrete(fd)
     atoms, cumw = lattice_arrays(fd)
-    assert np.array_equal(cumw, np.cumsum(fd.weights))
-    assert atoms.tolist() == list(fd.atoms)
+    assert np.array_equal(cumw, np.cumsum(weights))
+    assert atoms.tolist() == list(law_atoms)
     edges = np.concatenate(([0.0, 1.0], cumw, np.nextafter(cumw, 0.0), np.nextafter(cumw, 1.0)))
     # the edges, then random uniforms up to a whole number of rows of 64
     u = np.concatenate((edges, np.random.default_rng(seed).random(64 * (edges.size // 64 + 4) - edges.size)))
@@ -337,6 +342,21 @@ def test_lattice_mapping_is_the_right_sided_search(fd, seed):
     assert np.array_equal(from_base(fd, u.reshape(-1, 64)), want.reshape(-1, 64))
     assert np.array_equal(from_base(fd, edges), want[:edges.size])
     assert [from_base(fd, u[i:i + 1])[0] for i in range(edges.size)] == want[:edges.size].tolist()
+    if isinstance(fd, Rademacher):
+        # the direct two-atom map, which cuts at the same double 1 - p
+        assert np.array_equal(from_base(fd, u), np.where(u < 1.0 - fd.p, -1.0, 1.0))
+
+
+def test_equal_laws_draw_their_own_signed_zero():
+    # -0.0 == 0.0, so these laws compare equal, but each draws its own zero
+    pos, neg = FiniteDiscrete((0.0, 1.0), (0.5, 0.5)), FiniteDiscrete((-0.0, 1.0), (0.5, 0.5))
+    assert pos == neg
+    u = np.array([0.25])
+    for d, sign in [(pos, 1.0), (neg, -1.0), (pos, 1.0)]:
+        assert math.copysign(1.0, from_base(d, u)[0]) == sign
+        assert math.copysign(1.0, lattice_arrays(d)[0][0]) == sign
+    # every draw of a law reads the one cached table, so no caller may write it
+    assert not any(array.flags.writeable for array in lattice_arrays(pos))
 
 
 @pytest.mark.parametrize("k", [127, 128, 129, 200])
@@ -378,6 +398,14 @@ def test_sum_sampler_rademacher_parity():
     s = sample_mean_sums(Rademacher(0.4), 7, 5000, rng)
     assert np.all(np.abs(s) <= 7)
     assert np.all((s - 7) % 2 == 0)
+
+
+def test_rademacher_sums_are_those_of_its_two_atom_lattice():
+    # one sampler for every discrete law: the same stream gives the same sums
+    lattice = FiniteDiscrete((-1.0, 1.0), (0.7, 0.3))
+    for n in (1, 7, 40):
+        s = sample_mean_sums(Rademacher(0.3), n, 1000, np.random.default_rng(n))
+        assert np.array_equal(s, sample_mean_sums(lattice, n, 1000, np.random.default_rng(n)))
 
 
 @pytest.mark.parametrize("d", [

@@ -835,6 +835,10 @@ class TestInOrder:
         assert experiments._available_cpus() == 1
 
 
+# the middle law of the exit-stays benchmark ladder (thresholds 0.4 and 1.3)
+EXIT_STAYS_MIDDLE = FiniteDiscrete((-1.0, 0.0, 1.0, 2.0), (0.1, 0.2, 0.4, 0.3))
+
+
 class TestReportsDoNotDependOnCpus:
     @staticmethod
     def reports():
@@ -842,6 +846,8 @@ class TestReportsDoNotDependOnCpus:
             estimate_speed(l1_gaussian(), "delayed", 20_000, 4, 5),
             fit_block_exponents(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 20_000, 3),
             fit_exit_statistics(Gaussian(1.0, 1.0), 0.4, 1.6, (4, 6, 8), 4_000, 100_000, 3),
+            # a lattice law: forked workers draw through the table they inherit
+            fit_exit_statistics(EXIT_STAYS_MIDDLE, 0.4, 1.3, (4, 6, 8), 4_000, 100_000, 3),
             verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (4, 8, 12), np.random.default_rng(3), 20_000),
         )
 
@@ -926,4 +932,43 @@ def test_every_level_that_is_not_a_number_is_refused(call, monkeypatch):
     monkeypatch.setattr(experiments, "_persistence_profile", _unreached)
     monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
     with pytest.raises(InvalidInputError, match="must be a number"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: estimate_speed(l1_gaussian(), "bogus", 1_000, 2, 1), id="estimate_speed"),
+        pytest.param(lambda: sweep_window(l1_gaussian(), "bogus", (10, 20), 2, 1, steps=1_000), id="sweep_window"),
+    ],
+)
+def test_every_version_that_is_not_a_rule_is_refused(call, monkeypatch):
+    # the replicas would check it, but only once forked
+    monkeypatch.setattr(experiments, "run", _unreached)
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+    with pytest.raises(InvalidInputError, match="version must be one of"):
+        call()
+
+
+def _laws_refused(bad):
+    rng = np.random.default_rng(0)
+    return [
+        pytest.param(lambda: ModelSpec((bad, LAW), (0.4,), 10, 0), id=f"ModelSpec-{bad!r}"),
+        pytest.param(lambda: sample_exit(bad, 0.0, 1.0, 3, rng), id=f"sample_exit-{bad!r}"),
+        pytest.param(lambda: sample_block_outcomes(bad, 0.0, 1.0, 3, rng, 2), id=f"sample_block_outcomes-{bad!r}"),
+        pytest.param(lambda: fit_block_exponents(bad, 0.4, 1.6, (4, 6, 8), 100, 1), id=f"blocks-{bad!r}"),
+        pytest.param(lambda: fit_exit_statistics(bad, 0.4, 1.6, (4, 6, 8), 100, 1_000, 1), id=f"exits-{bad!r}"),
+        pytest.param(lambda: verify_cramer_slope(bad, 1.5, "ge", (4, 6, 8), 0, 100), id=f"cramer-{bad!r}"),
+        pytest.param(lambda: estimate_persistence_constant(bad, 0.4, 10, 10, 0), id=f"persistence-{bad!r}"),
+    ]
+
+
+@pytest.mark.parametrize("call", [*_laws_refused("x"), *_laws_refused(None), *_laws_refused(1.0)])
+def test_everything_that_is_not_a_law_is_refused(call, monkeypatch):
+    # a string, None or a number has no law's fields, which numpy or the
+    # scalar functions would otherwise fail on with a bare AttributeError
+    monkeypatch.setattr(experiments, "sample_block_outcomes", _unreached)
+    monkeypatch.setattr(experiments, "_persistence_profile", _unreached)
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+    with pytest.raises(InvalidInputError, match="must be a Gaussian, Rademacher or FiniteDiscrete law"):
         call()
