@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, _real
+from .errors import InvalidInputError, _real, _sequence
 
 __all__ = [
     "Gaussian",
@@ -71,7 +71,7 @@ class FiniteDiscrete:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        atoms, weights = tuple(self.atoms), tuple(self.weights)
+        atoms, weights = _sequence("atoms", self.atoms), _sequence("weights", self.weights)
         if not all(map(_real, atoms + weights)):
             raise InvalidInputError(f"atoms and weights must be numbers, got {atoms} and {weights}")
         atoms, weights = tuple(map(float, atoms)), tuple(map(float, weights))
@@ -100,11 +100,13 @@ def _law(name: str, d):
 
 
 def _as_finite_discrete(d: IncrementDistribution) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Atoms and weights of the two discrete families."""
+    """Atoms and weights of the two discrete families; InvalidInputError
+    for anything that is not a law."""
     if isinstance(d, Rademacher):
         return (-1.0, 1.0), (1.0 - d.p, d.p)
     if isinstance(d, FiniteDiscrete):
         return d.atoms, d.weights
+    _law("d", d)
     raise TypeError(f"not a discrete distribution: {d!r}")
 
 
@@ -122,7 +124,8 @@ def mean(d: IncrementDistribution) -> float:
         return float(d.mu)
     if isinstance(d, Rademacher):
         return 2.0 * d.p - 1.0
-    return sum(a * w for a, w in zip(d.atoms, d.weights))
+    atoms, weights = _as_finite_discrete(d)
+    return sum(a * w for a, w in zip(atoms, weights))
 
 
 def support_bounds(d: IncrementDistribution) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the tests behind its
-input checks: ``_integer`` for every count, window, seed and index, and
-``_real`` and ``_number`` for every other number."""
+input checks: ``_integer`` for every count, window, seed and index,
+``_real`` and ``_number`` for every other number, and ``_sequence`` for the
+tuples a law or model is built from."""
 
 import numbers
 
@@ -64,6 +65,14 @@ def _real(x) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def _sequence(name: str, value) -> tuple:
+    """``value``'s items as a tuple, or InvalidInputError if it has none."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
 
 
 def _number(name: str, value):

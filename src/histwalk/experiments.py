@@ -3,12 +3,9 @@
 Everything here consumes a master seed, fans replicas or grid points out over
 independent child streams, and folds results back together in a fixed order,
 so identical inputs give identical reports. Speed replicas and the chunks of
-the grid fits run in worker processes, the caller and children it forks, one
-per available CPU. Each worker claims the next task by reading its index from
-one unlinked temporary file at the offset they all share, and a task that
-fails moves that offset to the end, so no task starts after it. Each task
-keeps its own generator, and the results are folded in task order, so reports
-do not depend on how many CPUs there are.
+the grid fits run through ``pool._in_order``, one worker process per
+available CPU. Each task keeps its own generator, and the results are folded
+in task order, so reports do not depend on how many CPUs there are.
 
 The grid fits (block crossings, fresh exits and ``verify_cramer_slope``'s
 check of Cramer's theorem on one law) run their grid points through
@@ -23,16 +20,9 @@ against the matching rate-function values.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import math
-import os
-import pickle
-import select
-import signal
-import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +30,7 @@ import numpy as np
 from .distributions import IncrementDistribution, _law, mean, support_bounds
 from .errors import AssumptionError, DegenerateEstimateError, ExcessCensoringError, InvalidInputError, _integer, _number
 from .fitting import SlopeFit, binomial_se, check_grid, fit_log_decay, fit_log_growth
+from .pool import _in_order
 from .ratefn import RateFunction
 from .sampling import sample_mean_sums, sample_n
 from .simulator import BlockOutcome, _check_version, run, sample_block_outcomes, sample_exit
@@ -67,194 +58,6 @@ _BATCHES_PER_REPLICA = 32
 # draws per stay. On the exit-stays workload 1000 ran no slower than 500 or
 # 2000 (20 alternating CLI runs each, 2-CPU host).
 _EXIT_CHUNK = 1000
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_INDEX_BYTES = 4  # a task index, in the shared index file and in a record
-_SIZE_BYTES = 8  # the length of a pickled record, after its task index
-
-
-@contextlib.contextmanager
-def _sigint_held():
-    """Hold back SIGINT: a child forked here cannot be interrupted before it
-    ignores SIGINT, and the caller is not interrupted while it reaps."""
-    old = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, old)
-
-
-def _claim(queue: int) -> int | None:
-    """Read the next task index from ``queue``, the index file whose offset
-    every worker shares, or None at its end: every task is claimed, or a
-    failed task moved the offset there.
-
-    Linux serialises reads on a shared regular-file offset (since 3.14), so
-    each index reaches exactly one worker. The file must stay a regular file
-    on disk: on an ``os.memfd_create`` descriptor the offset is not
-    serialised (Linux 6.18), and three forked readers of 200,000 indices made
-    268k-386k claims, handing some indices out up to eight times, where a
-    ``TemporaryFile`` handed out each index once.
-    ``test_every_task_runs_once_past_the_pipe_buffer`` fails on such a switch.
-    """
-    index = os.read(queue, _INDEX_BYTES)
-    return int.from_bytes(index, sys.byteorder) if index else None
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exactly(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``, or None if it reaches end of file first."""
-    data = bytearray(size)
-    view = memoryview(data)
-    got = 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            return None
-        got += n
-    return data
-
-
-def _send(out: int, index: int, value, error: BaseException | None) -> None:
-    """Write one task's record, its index, size and pickled (value, error), to ``out``."""
-    try:
-        data = pickle.dumps((value, error), pickle.HIGHEST_PROTOCOL)
-        if error is not None:
-            pickle.loads(data)  # an exception can pickle yet fail to unpickle
-    except Exception as why:
-        what = f"raised {error!r}" if error is not None else f"returned a {type(value).__name__}"
-        failure = pickle.PicklingError(f"task {index} {what}, which cannot be pickled: {why}")
-        data = pickle.dumps((None, failure), pickle.HIGHEST_PROTOCOL)
-    _write_all(out, index.to_bytes(_INDEX_BYTES, sys.byteorder) + len(data).to_bytes(_SIZE_BYTES, sys.byteorder))
-    _write_all(out, data)
-
-
-def _serve(fn, tasks, queue: int, out: int) -> None:
-    """A forked child's whole life: run the tasks it claims and send each
-    one's record to ``out``. It ignores SIGINT, and leaves by ``os._exit``,
-    so it neither flushes the parent's stdio nor runs its atexit hooks; it
-    never returns."""
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        while (i := _claim(queue)) is not None:
-            try:
-                value, error = fn(tasks[i]), None
-            except BaseException as err:  # sent back, and no worker claims another task
-                os.lseek(queue, 0, os.SEEK_END)
-                value, error = None, err
-            _send(out, i, value, error)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _in_order(fn, tasks):
-    """Yield ``fn(task)`` for each of ``tasks``, in task order.
-
-    The tasks run in ``min(len(tasks), available CPUs)`` processes, the
-    caller and the children it forks on entry. Every task index is written
-    once to an unlinked temporary file before the fork, and each worker
-    claims the next task by reading an index at the file's shared offset, so
-    tasks start in task order. A child pickles each task's value, or the
-    exception it raised, back to the caller; one that cannot be pickled comes
-    back as a ``pickle.PicklingError`` naming it. The caller yields the
-    values in task order and runs a task itself only while the next value is
-    not in, after reading every record already sent, so no child waits on it
-    while it computes. A worker whose task fails moves the file's offset to
-    its end, so no task starts after it, and the first failure in task order
-    is re-raised as it was raised. When the caller finishes, raises, is
-    interrupted or is closed early, it kills and reaps every child first:
-    children ignore SIGINT, so a Ctrl-C does not wait for their tasks.
-
-    The caller runs every task itself, forking nothing, on one CPU, where
-    ``os.fork`` is missing, while other threads are alive (a lock one of
-    them holds would stay held in every child), or when the index file
-    cannot be created.
-    """
-    tasks = list(tasks)
-    workers = min(len(tasks), _available_cpus())
-    index_file = None
-    if workers > 1 and hasattr(os, "fork") and len(sys._current_frames()) == 1:
-        with contextlib.suppress(OSError):  # no writable temporary directory
-            index_file = tempfile.TemporaryFile(buffering=0)
-    if index_file is None:
-        yield from map(fn, tasks)
-        return
-
-    queue = index_file.fileno()  # unclaimed task indices, at the offset all workers share
-    results = {}  # (value, error) of each task done and not yet yielded
-    children = {}  # pid of each child not yet reaped, by the read end of its pipe
-    ended = []  # exit statuses of children that ended before being killed
-
-    def collect(timeout: float | None) -> None:
-        # one record from each child that has sent one, or its end
-        for r in select.select(list(children), [], [], timeout)[0]:
-            header = _read_exactly(r, _INDEX_BYTES + _SIZE_BYTES)
-            data = header and _read_exactly(r, int.from_bytes(header[_INDEX_BYTES:], sys.byteorder))
-            if data is None:  # the child has exited
-                os.close(r)
-                ended.append(os.waitstatus_to_exitcode(os.waitpid(children.pop(r), 0)[1]))
-            else:
-                results[int.from_bytes(header[:_INDEX_BYTES], sys.byteorder)] = pickle.loads(data)
-
-    try:
-        _write_all(queue, np.arange(len(tasks), dtype=np.uint32).tobytes())
-        os.lseek(queue, 0, os.SEEK_SET)
-        with _sigint_held():
-            for _ in range(workers - 1):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # out of processes or memory: go on with the workers there are
-                    os.close(r)
-                    os.close(w)
-                    break
-                if pid == 0:
-                    os.close(r)
-                    _serve(fn, tasks, queue, w)
-                os.close(w)
-                children[r] = pid
-        for k in range(len(tasks)):
-            collect(0)
-            while k not in results:
-                i = _claim(queue)
-                if i is not None:
-                    try:
-                        results[i] = (fn(tasks[i]), None)
-                    except Exception as err:
-                        os.lseek(queue, 0, os.SEEK_END)
-                        results[i] = (None, err)
-                elif not children:
-                    raise ChildProcessError(
-                        f"task {k} was lost: worker processes exited with statuses {ended}"
-                    )
-                collect(0 if i is not None else None)
-            value, error = results.pop(k)
-            if error is not None:
-                raise error
-            yield value
-    finally:
-        with _sigint_held():
-            for pid in children.values():
-                os.kill(pid, signal.SIGKILL)
-            for r, pid in children.items():
-                os.waitpid(pid, 0)
-                os.close(r)
-        index_file.close()
 
 
 def _by_grid_point(fn, grid, chunks):
@@ -506,6 +309,13 @@ def sweep_window(
     )
 
 
+def _decay_fit(grid, hits, trials, target: float) -> SlopeFit:
+    """Decay fit of the proportions ``hits / trials`` over ``grid``, with
+    binomial error bars; ``trials`` is one count or one per grid point."""
+    p = np.asarray(hits, dtype=float) / trials
+    return fit_log_decay(grid, p, binomial_se(p, trials), target=target)
+
+
 def _check_law_grid(d, r_lo, r_hi, n_grid, samples_per_n, master_seed):
     """Input checks shared by the single-law grid fits.
 
@@ -567,20 +377,16 @@ def fit_block_exponents(
         functools.partial(sample_block_outcomes, d, r_lo, r_hi), grid, [[(c, samples_per_n)] for c in children]
     ))
 
-    def probs(out: BlockOutcome) -> tuple[np.ndarray, np.ndarray]:
-        p = np.array([tallies[k][0][out] for k in range(len(grid))], dtype=float) / samples_per_n
-        return p, binomial_se(p, samples_per_n)
+    def fit(out: BlockOutcome, target: float) -> SlopeFit:
+        return _decay_fit(grid, [tallies[k][0][out] for k in range(len(grid))], samples_per_n, target)
 
-    p_up, se_up = probs(BlockOutcome.UP)
-    p_dn, se_dn = probs(BlockOutcome.DOWN)
-    p_bo, se_bo = probs(BlockOutcome.BOTH)
-    up = fit_log_decay(grid, p_up, se_up, target=i_hi)
-    down = fit_log_decay(grid, p_dn, se_dn, target=i_lo)
+    up = fit(BlockOutcome.UP, i_hi)
+    down = fit(BlockOutcome.DOWN, i_lo)
     warnings: list[str] = []
     both = None
     dominates = None
     try:
-        both = fit_log_decay(grid, p_bo, se_bo, target=i_lo + i_hi)
+        both = fit(BlockOutcome.BOTH, i_lo + i_hi)
     except DegenerateEstimateError:
         warnings.append("doubly-crossing outcome too rare to fit a slope")
     if both is not None:
@@ -635,7 +441,8 @@ def fit_exit_statistics(
         d, r_lo, r_hi, n_grid, samples_per_n, master_seed
     )
     cap = _integer("cap", cap, grid[-1])
-    p_down, se_down, mean_stay, se_stay = np.empty((4, len(grid)))
+    downs, completed = np.zeros((2, len(grid)), dtype=np.int64)
+    mean_stay, se_stay = np.empty((2, len(grid)))
     censored_fracs = [0.0] * len(grid)
     n_chunks = -(-samples_per_n // _EXIT_CHUNK)
     counts = [min(_EXIT_CHUNK, samples_per_n - c * _EXIT_CHUNK) for c in range(n_chunks)]
@@ -648,13 +455,11 @@ def fit_exit_statistics(
 
     for k, parts in _by_grid_point(chunk, grid, [list(zip(point.spawn(n_chunks), counts)) for point in points]):
         stays = np.concatenate([p[0] for p in parts])
-        downs = sum(p[1] for p in parts)
+        downs[k] = sum(p[1] for p in parts)
         censored_fracs[k] = sum(p[2] for p in parts) / samples_per_n
         if censored_fracs[k] > 0.05:
             continue  # raised below, for the smallest such window
-        m = len(stays)
-        p_down[k] = downs / m
-        se_down[k] = binomial_se(p_down[k], m)
+        m = completed[k] = len(stays)
         mean_stay[k] = stays.mean()
         se_stay[k] = float(np.std(stays, ddof=1) / math.sqrt(m)) if m >= 2 else 0.0
     for n, frac in zip(grid, censored_fracs):
@@ -671,7 +476,7 @@ def fit_exit_statistics(
         samples_per_n=samples_per_n,
         cap=cap,
         master_seed=master_seed,
-        exit_down=fit_log_decay(grid, p_down, se_down, target=target_down),
+        exit_down=_decay_fit(grid, downs, completed, target_down),
         mean_stay=fit_log_growth(grid, mean_stay, se_stay, target=min(i_lo, i_hi)),
         censored_fractions=tuple(censored_fracs),
     )
@@ -719,10 +524,7 @@ def verify_cramer_slope(
 
     streams = rng.spawn(len(n_grid))
     points = dict(_by_grid_point(hits, n_grid, [[(s, samples_per_n)] for s in streams]))
-    probs = [points[k][0] / samples_per_n for k in range(len(n_grid))]
-    ses = [binomial_se(p, samples_per_n) for p in probs]
-    target = RateFunction(d).evaluate(r)
-    return fit_log_decay(n_grid, probs, ses, target=target)
+    return _decay_fit(n_grid, [points[k][0] for k in range(len(n_grid))], samples_per_n, RateFunction(d).evaluate(r))
 
 
 def _persistence_profile(d, r: float, horizon: int, samples: int, rng) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Gaussian, IncrementDistribution, cgf, cgf_derivatives, support_bounds, tail_prob
+from .distributions import Gaussian, IncrementDistribution, _law, cgf, cgf_derivatives, support_bounds, tail_prob
 from .errors import InvalidInputError, NonConvergenceError, _number
 
 __all__ = ["RateFunction"]
@@ -35,6 +35,9 @@ class RateFunction:
     """
 
     dist: IncrementDistribution
+
+    def __post_init__(self) -> None:
+        _law("dist", self.dist)
 
     def evaluate(self, r: float) -> float:
         return self.solve(r)[0]

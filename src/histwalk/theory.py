@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .distributions import IncrementDistribution, _law, mean, tail_prob
-from .errors import AssumptionError, InvalidChainError, InvalidInputError, _integer, _real
+from .errors import AssumptionError, InvalidChainError, InvalidInputError, _integer, _real, _sequence
 from .ratefn import RateFunction
 
 __all__ = [
@@ -60,8 +60,9 @@ class ModelSpec:
     initial_regime: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dists", tuple(_law(f"dists[{i}]", d) for i, d in enumerate(self.dists)))
-        thresholds = tuple(self.thresholds)
+        dists = _sequence("dists", self.dists)
+        object.__setattr__(self, "dists", tuple(_law(f"dists[{i}]", d) for i, d in enumerate(dists)))
+        thresholds = _sequence("thresholds", self.thresholds)
         if not all(map(_real, thresholds)):
             raise InvalidInputError(f"thresholds must be numbers, got {thresholds}")
         object.__setattr__(self, "thresholds", tuple(map(float, thresholds)))

@@ -1,9 +1,10 @@
 """Shared test helpers: a scripted uniform source, a from-scratch rule
 oracle that recomputes regime trajectories directly from the definition,
-with no ring buffers or chunking, and a wait for a file that another
-process makes."""
+with no ring buffers or chunking, a wait for a file that another process
+makes, and a stand-in for the CPUs available to the process."""
 
 import math
+import os
 import time
 
 import numpy as np
@@ -14,6 +15,11 @@ def wait_for(path, seconds=10.0):
     deadline = time.monotonic() + seconds
     while not path.exists() and time.monotonic() < deadline:
         time.sleep(0.005)
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs look available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class ScriptedRNG:

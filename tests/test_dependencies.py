@@ -92,7 +92,10 @@ import contextlib, io, sys, histwalk.cli
 for argv in {runs!r}:
     histwalk.cli.main(argv, standalone_mode=False)
 """
-    modules = ("numpy", "histwalk.sampling", "histwalk.fitting", "histwalk.simulator", "histwalk.experiments", "mmap", "select")
+    modules = (
+        "numpy", "histwalk.sampling", "histwalk.fitting", "histwalk.simulator", "histwalk.experiments", "histwalk.pool",
+        "mmap", "select",
+    )
     probe = theory + f"""
 print(sorted(m for m in {modules!r} if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):

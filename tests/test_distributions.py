@@ -73,6 +73,8 @@ def test_mean_hand_values():
     lambda: FiniteDiscrete(("-1", "1"), (0.5, 0.5)),
     lambda: FiniteDiscrete((-1.0, 1.0), ("0.5", "0.5")),
     lambda: FiniteDiscrete((0.0,), (True,)),
+    # numbers where sequences belong, which tuple() would fail on with a TypeError
+    lambda: FiniteDiscrete(1.0, 1.0),
 ])
 def test_invalid_construction_rejected(bad):
     with pytest.raises(InvalidInputError):

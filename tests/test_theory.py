@@ -65,6 +65,9 @@ def test_model_spec_shape():
     # bools, which int() would take as window 1 and regime 0
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=True, initial_regime=0),
     dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=(0.4,), window=5, initial_regime=np.False_),
+    # a law or a number where a sequence belongs, which tuple() would fail on with a TypeError
+    dict(dists=(Gaussian(0, 1), Gaussian(1, 1)), thresholds=0.4, window=10, initial_regime=0),
+    dict(dists=Gaussian(0, 1), thresholds=(0.4,), window=10, initial_regime=0),
 ])
 def test_model_spec_structural_errors(kwargs):
     with pytest.raises(InvalidInputError):
