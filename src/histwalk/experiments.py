@@ -487,16 +487,15 @@ def verify_cramer_slope(
     r: float,
     side: str,
     n_grid,
-    rng,
+    seed: int,
     samples_per_n: int,
 ) -> SlopeFit:
     """Fit the Monte Carlo decay exponent of P(S_n/n >= r) (or <= r) over n_grid.
 
     By Cramer's theorem (1/n) log P(S_n/n >= r) -> -I(r) for r above the
     mean, and symmetrically below. Each grid point gets an independent child
-    stream of ``rng`` and ``samples_per_n`` draws of S_n from its exact law.
-    ``rng`` is a Generator or an int seed; seed s gives the streams of
-    ``np.random.default_rng(s)``. The fitted slope is comparable to
+    stream of the int ``seed`` and ``samples_per_n`` draws of S_n from its
+    exact law. The fitted slope is comparable to
     RateFunction(d).evaluate(r), returned as ``target``.
 
     Grid points whose estimate is zero are dropped; fewer than 3 surviving
@@ -507,9 +506,7 @@ def verify_cramer_slope(
         raise InvalidInputError(f"side must be 'ge' or 'le', got {side!r}")
     n_grid = check_grid(n_grid)
     samples_per_n = _integer("samples_per_n", samples_per_n, 1)
-    if not isinstance(rng, np.random.Generator):
-        # a Generator's children are those of its SeedSequence
-        rng = np.random.SeedSequence(_integer("seed", rng, 0, math.inf))
+    seeds = np.random.SeedSequence(_integer("seed", seed, 0, math.inf))
     _number("r", r)
     mu = mean(d)
     slo, shi = support_bounds(d)
@@ -522,7 +519,7 @@ def verify_cramer_slope(
         sums = sample_mean_sums(d, n, count, stream)
         return int(np.count_nonzero(sums >= n * r if side == "ge" else sums <= n * r))
 
-    streams = rng.spawn(len(n_grid))
+    streams = seeds.spawn(len(n_grid))
     points = dict(_by_grid_point(hits, n_grid, [[(s, samples_per_n)] for s in streams]))
     return _decay_fit(n_grid, [points[k][0] for k in range(len(n_grid))], samples_per_n, RateFunction(d).evaluate(r))
 

@@ -6,9 +6,14 @@ once the current law has produced the full window, for the delayed version)
 and then draws one increment from the active law. Decisions compare the
 window SUM against N*threshold, half-open: strictly below the lower threshold
 moves down, at-or-above the upper one moves up. The first N steps always use
-the initial regime, for both versions. Except in the one-step reference and
-``_straddle``'s roll, window sums are differences of one zero-prefixed
-cumsum, taken by ``_window_sums``, and ``_outside`` is the half-open test.
+the initial regime, for both versions. The rule, as the one-step reference
+carries it out: the window's exact sum rounded once (``math.fsum``) against
+N*threshold rounded once, with no drift at any run length. On integer
+atoms, whose window sums are exact, a tie with a decimal threshold, such as
+a sum of 4 at N=10 against 0.4, is then decided as written. Other
+than in the reference and ``_straddle``'s roll, window sums are differences
+of one zero-prefixed cumsum, taken by ``_window_sums``, and ``_outside`` is
+the half-open test.
 
 ``step_delayed``/``step_instantaneous`` implement exactly one step and are
 the reference semantics. ``run`` implements the same dynamics with a block
@@ -111,9 +116,6 @@ __all__ = [
     "sample_block_outcomes",
 ]
 
-# rolling window sums are refreshed by exact recomputation this often
-_RESUM_INTERVAL = 1 << 20
-
 # the largest block of base variates, for the block walker, the slices of
 # fresh stays and the batches of fresh blocks alike. Each block array must
 # stay under glibc's 128 KiB mmap threshold, so that a freed one is reused from
@@ -134,9 +136,7 @@ class WalkState:
     regime: int
     consecutive_uses: int
     window: np.ndarray
-    window_sum: float
     head: int = 0
-    steps_since_resum: int = 0
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,6 @@ def init(spec: ModelSpec, rng) -> WalkState:
         regime=spec.initial_regime,
         consecutive_uses=n,
         window=np.array(draws, dtype=float),
-        window_sum=float(draws.sum()),
     )
 
 
@@ -245,21 +244,16 @@ def _step(state: WalkState, spec: ModelSpec, rng, delayed: bool) -> WalkState:
     n = spec.window
     if not delayed or state.consecutive_uses >= n:
         lo, hi = threshold_bounds(spec, state.regime)
-        if state.window_sum < n * lo:
+        s = math.fsum(state.window.tolist())
+        if s < n * lo:
             state.regime -= 1
             state.consecutive_uses = 0
-        elif state.window_sum >= n * hi:
+        elif s >= n * hi:
             state.regime += 1
             state.consecutive_uses = 0
     x = float(sample_n(spec.dists[state.regime], 1, rng)[0])
-    old = float(state.window[state.head])
     state.window[state.head] = x
     state.head = (state.head + 1) % n
-    state.window_sum += x - old
-    state.steps_since_resum += 1
-    if state.steps_since_resum >= _RESUM_INTERVAL:
-        state.window_sum = float(state.window.sum())
-        state.steps_since_resum = 0
     state.position += x
     state.time += 1
     state.consecutive_uses += 1
@@ -274,12 +268,6 @@ def step_delayed(state: WalkState, spec: ModelSpec, rng) -> WalkState:
 def step_instantaneous(state: WalkState, spec: ModelSpec, rng) -> WalkState:
     """One step; the regime rule fires before every draw."""
     return _step(state, spec, rng, delayed=False)
-
-
-def _default_checkpoints(n: int, steps: int) -> np.ndarray:
-    pts = np.geomspace(n, steps, num=64).round().astype(np.int64)
-    pts = pts[np.diff(pts, prepend=-1) != 0]  # sorted already; np.unique would import numpy.ma
-    return pts[(pts >= n) & (pts <= steps)]
 
 
 def _window_sums(x: np.ndarray, n: int, first: int = 0):
@@ -304,7 +292,7 @@ def _straddle(actual: np.ndarray, full: memoryview, o: int, p: int, m: int, n: i
     instantaneous rule. Those windows still hold draws made before ``p`` by
     other laws, which the regime's lane, built before ``p``, does not; so the
     sum rolls from the actual window at ``p`` through the lane's draws
-    ``full[o + p:]``, as the reference's does. Returns the position and
+    ``full[o + p:]``. Returns the position and
     whether the sum is at or above ``hi``, or None."""
     window = actual[p:p + n].tolist()
     s = sum(window)
@@ -531,16 +519,16 @@ def run(
     and final window.
 
     ``checkpoint_times`` defaults to ~64 geometrically spaced times in
-    [N, steps]; times given replace that set. Each must be an integer; they
-    are deduplicated, and those outside [1, steps] are dropped.
+    [N, steps]; times given replace that set, and each must be an integer.
+    Either set is deduplicated and sorted, and times outside [1, steps] are
+    dropped.
     """
     delayed = _check_version(version)
     steps = _integer("steps", steps, spec.window)
     if checkpoint_times is None:
-        ckpts = _default_checkpoints(spec.window, steps).tolist()
-    else:
-        times = [_integer("checkpoint time", t, -math.inf, math.inf) for t in checkpoint_times]
-        ckpts = sorted({t for t in times if 1 <= t <= steps})
+        checkpoint_times = np.geomspace(spec.window, steps, num=64).round().tolist()
+    times = [_integer("checkpoint time", t, -math.inf, math.inf) for t in checkpoint_times]
+    ckpts = sorted({t for t in times if 1 <= t <= steps})
     bounds = [tuple(spec.window * r for r in threshold_bounds(spec, i)) for i in range(spec.l + 1)]
     walk = _Walk(
         spec.dists, bounds, spec.window, delayed, steps, rng, spec.initial_regime, ckpts, record_increments

@@ -155,8 +155,7 @@ def exact_binomial_tail_20() -> float:
 
 def test_mc_tail_matches_exact_binomial():
     p_exact = exact_binomial_tail_20()
-    rng = np.random.default_rng(42)
-    fit = verify_cramer_slope(Rademacher(0.5), 0.5, "ge", (10, 20, 40), rng,
+    fit = verify_cramer_slope(Rademacher(0.5), 0.5, "ge", (10, 20, 40), 42,
                               samples_per_n=1_000_000)
     i = fit.ns.index(20)
     p_hat, se = fit.values[i], fit.stderrs[i]
@@ -164,8 +163,7 @@ def test_mc_tail_matches_exact_binomial():
 
 
 def test_cramer_slope_gaussian_small_budget():
-    rng = np.random.default_rng(1234)
-    fit = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40), rng,
+    fit = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40), 1234,
                               samples_per_n=200_000)
     assert fit.target == pytest.approx(0.125, abs=1e-12)
     assert abs(fit.slope - 0.125) / 0.125 < 0.25
@@ -173,40 +171,29 @@ def test_cramer_slope_gaussian_small_budget():
 
 
 def test_cramer_slope_lower_tail():
-    rng = np.random.default_rng(99)
-    fit = verify_cramer_slope(Gaussian(0.0, 1.0), -0.5, "le", (10, 20, 40), rng,
+    fit = verify_cramer_slope(Gaussian(0.0, 1.0), -0.5, "le", (10, 20, 40), 99,
                               samples_per_n=200_000)
     assert abs(fit.slope - 0.125) / 0.125 < 0.25
 
 
 def test_cramer_slope_rejects_wrong_side_of_mean():
-    rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):
-        verify_cramer_slope(Gaussian(0.0, 1.0), -0.5, "ge", (10, 20, 40), rng, 1000)
+        verify_cramer_slope(Gaussian(0.0, 1.0), -0.5, "ge", (10, 20, 40), 0, 1000)
     with pytest.raises(InvalidInputError):
-        verify_cramer_slope(Gaussian(0.0, 1.0), 1.2, "ge", (10, 20), rng, 1000)
+        verify_cramer_slope(Gaussian(0.0, 1.0), 1.2, "ge", (10, 20), 0, 1000)
 
 
 def test_cramer_slope_degenerate_budget():
     # a tail this deep never produces a hit at these budgets
-    rng = np.random.default_rng(7)
     with pytest.raises(DegenerateEstimateError):
-        verify_cramer_slope(Gaussian(0.0, 1.0), 5.0, "ge", (40, 60, 80), rng,
+        verify_cramer_slope(Gaussian(0.0, 1.0), 5.0, "ge", (40, 60, 80), 7,
                             samples_per_n=2_000)
 
 
 def test_cramer_slope_deterministic_given_seed():
-    f1 = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40),
-                             np.random.default_rng(5), 50_000)
-    f2 = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40),
-                             np.random.default_rng(5), 50_000)
+    f1 = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40), 5, 50_000)
+    f2 = verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (10, 20, 40), 5, 50_000)
     assert f1.slope == f2.slope and f1.values == f2.values
-
-
-def test_cramer_slope_takes_an_int_seed():
-    # seed s runs on the child streams of default_rng(s)
-    args = (Gaussian(0.0, 1.0), 0.5, "ge", (4, 6, 8))
-    assert verify_cramer_slope(*args, 5, 2_000) == verify_cramer_slope(*args, np.random.default_rng(5), 2_000)
 
 
 def _unreached(*args, **kwargs):
@@ -223,3 +210,10 @@ def test_cramer_slope_refuses_a_seed_that_is_neither_int_nor_generator(seed, mon
     monkeypatch.setattr(experiments, "_by_grid_point", _unreached)
     with pytest.raises(InvalidInputError, match="seed must be an integer"):
         verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (4, 6, 8), seed, 100)
+
+
+def test_cramer_slope_refuses_a_generator(monkeypatch):
+    # the seed is an int only: default_rng(s) would give the streams of s
+    monkeypatch.setattr(experiments, "_by_grid_point", _unreached)
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        verify_cramer_slope(Gaussian(0.0, 1.0), 0.5, "ge", (4, 6, 8), np.random.default_rng(5), 100)

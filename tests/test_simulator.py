@@ -69,7 +69,6 @@ def test_init_point_mass():
     assert st.time == 5
     assert st.consecutive_uses == 5
     assert st.regime == 0
-    assert st.window_sum == 5.0
     assert st.window.tolist() == [1.0] * 5
 
 
@@ -124,33 +123,6 @@ def test_delayed_sojourns_at_least_window():
     regimes, _ = hand_step_regimes(flip_spec(3), "delayed", 30)
     stays = [len(list(g)) for _, g in itertools.groupby(regimes)]
     assert all(s >= 3 for s in stays[:-1])
-
-
-def test_step_window_sum_tracks_buffer():
-    spec = rademacher_spec(5)
-    rng = AnyRng(7)
-    st = init(spec, rng)
-    for k in range(2000):
-        step_delayed(st, spec, rng)
-        if k % 100 == 0:
-            assert st.window_sum == pytest.approx(float(st.window.sum()), abs=1e-9)
-    assert st.time == 2005
-
-
-def test_step_periodic_exact_resum(monkeypatch):
-    monkeypatch.setattr(simulator, "_RESUM_INTERVAL", 16)
-    spec = ModelSpec(
-        dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)),
-        thresholds=(0.4,),
-        window=4,
-        initial_regime=0,
-    )
-    rng = AnyRng(3)
-    st = init(spec, rng)
-    for _ in range(100):
-        step_delayed(st, spec, rng)
-        assert st.window_sum == pytest.approx(float(st.window.sum()), abs=1e-9)
-    assert st.steps_since_resum < 16
 
 
 # ------------------------------------------------- exhaustive rule enumeration
@@ -221,6 +193,9 @@ def regime_path(res):
     return np.repeat([rec.regime for rec in res.records], [rec.steps for rec in res.records]).tolist()
 
 
+LATTICE_ATOMS = (-1.0, 0.0, 1.0, 2.0)
+LATTICE_WEIGHTS = ((0.3, 0.4, 0.2, 0.1), (0.1, 0.2, 0.4, 0.3), (0.05, 0.1, 0.3, 0.55))
+
 LADDERS = {
     "gaussian-l1": ModelSpec(
         dists=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)), thresholds=(0.4,), window=10, initial_regime=0,
@@ -234,6 +209,12 @@ LADDERS = {
     "integer-atoms": ModelSpec(
         dists=(FiniteDiscrete((-3.0, 1.0, 7.0), (0.5, 0.3, 0.2)), FiniteDiscrete((-3.0, 1.0, 7.0), (0.2, 0.3, 0.5))),
         thresholds=(1.0,), window=3, initial_regime=0,
+    ),
+    # integer atoms at decimal thresholds: every window sum is exact, and
+    # 10 * 0.4 and 10 * 1.3 round to the integers they are written as
+    "exit-stays": ModelSpec(
+        dists=tuple(FiniteDiscrete(LATTICE_ATOMS, w) for w in LATTICE_WEIGHTS),
+        thresholds=(0.4, 1.3), window=10, initial_regime=0,
     ),
 }
 
@@ -996,48 +977,91 @@ def exact_sums(draws, n):
         yield s
 
 
+def fsum_sums(draws, n):
+    """The window sums of ``draws`` at times n, n+1, ..., each rounded once, as the reference step takes them."""
+    return (math.fsum(draws[j - n:j]) for j in range(n, len(draws) + 1))
+
+
+def fresh_stays(d, r_lo, r_hi, n, cap, count, seed):
+    """``sample_exit``'s stays, and each row's own draws, regrouped as in
+    test_sample_exit_rows_are_single_stays."""
+    stays = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=cap, count=count)
+    stream = from_base(d, base_variates(d, stays.steps, AnyRng(seed)))
+    own = [[] for _ in range(count)]
+    t = k = used = 0
+    while t < cap:
+        m = min(simulator._block_size(n, k), cap - t)
+        for row in np.flatnonzero(stays.stay_steps > t):
+            own[row].extend(stream[used:used + m])
+            used += m
+        t, k = t + m, k + 1
+    return stays, own
+
+
+def first_exit(sums, n, lo, hi, cap):
+    """(time, exit code) of the first window sum outside [lo, hi), or (cap, 0)."""
+    return next(((j, 1 if s >= hi else -1) for j, s in enumerate(sums, start=n) if not lo <= s < hi), (cap, 0))
+
+
+def fresh_blocks(d, n, count, seed):
+    """The stream's consecutive 2N-1 draws, as ``sample_block_outcomes`` lays its blocks out."""
+    return sample_n(d, count * (2 * n - 1), AnyRng(seed)).reshape(count, 2 * n - 1).tolist()
+
+
+def tally(block_sums, lo, hi):
+    """The outcome counts of blocks given by their window sums."""
+    counts = dict.fromkeys(BlockOutcome, 0)
+    for sums in block_sums:
+        sums = list(sums)
+        up, down = max(sums) >= hi, min(sums) < lo
+        counts[BlockOutcome.BOTH if up and down else BlockOutcome.UP if up
+               else BlockOutcome.DOWN if down else BlockOutcome.NONE] += 1
+    return counts
+
+
 @EXACT_LATTICE_CASES
 def test_sample_exit_decides_ties_exactly(d, r_lo, r_hi):
-    # each row's draws regrouped as in test_sample_exit_rows_are_single_stays,
-    # its exit found from the definition with exact window sums
+    # each row's exit found from the definition with exact window sums
     n, cap, count = 3, 2000, 50
     lo, hi = n * Fraction(r_lo), n * Fraction(r_hi)
     wrong = []
     for seed in range(20):
-        stays = sample_exit(d, r_lo, r_hi, n, AnyRng(seed), cap=cap, count=count)
-        stream = from_base(d, base_variates(d, stays.steps, AnyRng(seed)))
-        own = [[] for _ in range(count)]
-        t = k = used = 0
-        while t < cap:
-            m = min(simulator._block_size(n, k), cap - t)
-            for row in np.flatnonzero(stays.stay_steps > t):
-                own[row].extend(stream[used:used + m])
-                used += m
-            t, k = t + m, k + 1
+        stays, own = fresh_stays(d, r_lo, r_hi, n, cap, count, seed)
         for row, draws in enumerate(own):
-            exact = next(((j, 1 if s >= hi else -1) for j, s in enumerate(exact_sums(draws, n), start=n)
-                          if not lo <= s < hi), (cap, 0))
-            if exact != (stays.stay_steps[row], stays.stay_exits[row]):
+            if first_exit(exact_sums(draws, n), n, lo, hi, cap) != (stays.stay_steps[row], stays.stay_exits[row]):
                 wrong.append((seed, row))
     assert wrong == []
 
 
 @EXACT_LATTICE_CASES
 def test_block_outcomes_decide_ties_exactly(d, r_lo, r_hi):
-    # the blocks are the stream's consecutive 2N-1 draws, each tallied from
-    # its N exact window sums
+    # each block tallied from its N exact window sums
     n, count = 3, 200
     lo, hi = n * Fraction(r_lo), n * Fraction(r_hi)
     wrong = []
     for seed in range(20):
         got = sample_block_outcomes(d, r_lo, r_hi, n, AnyRng(seed), count)
-        draws = sample_n(d, count * (2 * n - 1), AnyRng(seed)).reshape(count, 2 * n - 1)
-        exact = dict.fromkeys(BlockOutcome, 0)
-        for block in draws:
-            sums = list(exact_sums(block, n))
-            up, down = max(sums) >= hi, min(sums) < lo
-            exact[BlockOutcome.BOTH if up and down else BlockOutcome.UP if up
-                  else BlockOutcome.DOWN if down else BlockOutcome.NONE] += 1
-        if got != exact:
+        if got != tally((exact_sums(block, n) for block in fresh_blocks(d, n, count, seed)), lo, hi):
             wrong.append(seed)
     assert wrong == []
+
+
+def test_fresh_samplers_decide_integer_ties_as_the_reference_step():
+    # the exit-stays ladder's middle law: integer atoms against decimal
+    # thresholds, each window decided on its fsum against N*r as rounded, so a
+    # sum of 4 at N=10 ties 0.4 and stays. The exact products N*Fraction(r)
+    # of the oracle above lie just past 4 and 13, and would call most of these
+    # stays wrong.
+    d, r_lo, r_hi = FiniteDiscrete(LATTICE_ATOMS, LATTICE_WEIGHTS[1]), 0.4, 1.3
+    n, cap, count, blocks = 10, 5000, 200, 2000
+    lo, hi = n * r_lo, n * r_hi
+    wrong_stays, wrong_tallies = [], []
+    for seed in range(5):
+        stays, own = fresh_stays(d, r_lo, r_hi, n, cap, count, seed)
+        for row, draws in enumerate(own):
+            if first_exit(fsum_sums(draws, n), n, lo, hi, cap) != (stays.stay_steps[row], stays.stay_exits[row]):
+                wrong_stays.append((seed, row))
+        got = sample_block_outcomes(d, r_lo, r_hi, n, AnyRng(seed), blocks)
+        if got != tally((fsum_sums(block, n) for block in fresh_blocks(d, n, blocks, seed)), lo, hi):
+            wrong_tallies.append(seed)
+    assert wrong_stays == [] and wrong_tallies == []
